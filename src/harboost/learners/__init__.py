@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,13 +215,6 @@ def model_from_payload(p: dict):
     return loader(p)
 
 
-def with_seed(spec, seed: int):
-    """Copy of spec carrying a different seed (no-op for custom learners)."""
-    if isinstance(spec, LearnerSpec):
-        return replace(spec, seed=seed)
-    return spec
-
-
 __all__ = [
     "ConstantLearner",
     "DISPLAY_NAMES",
@@ -231,5 +224,4 @@ __all__ = [
     "model_from_payload",
     "predict",
     "spec_from_payload",
-    "with_seed",
 ]

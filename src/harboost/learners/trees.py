@@ -11,11 +11,28 @@ min_leaf_weight, and at pure nodes. Leaves predict the class with the
 largest weight mass; all ties (split scores, leaf labels, votes) resolve
 to the first candidate in scan order, which means the lower feature
 index, lower threshold, or lower class id.
+
+Growth keeps, per node, one row list per feature in ascending order of
+that feature (presorted once, then split among the children as in
+SLIQ), and searches all candidate features of a node in one batch. A
+(features, rows, classes) class-mass prefix gives the Gini score of
+every binary cut position of every feature; positions that are not
+value boundaries are set to inf and one flat argmin picks the split.
+Multiway nodes score each interval between two candidate cuts once and
+sum those scores per combination, with combinations that use a missing
+candidate set to inf. Row-major order makes the first minimum the
+lowest feature (candidate features are visited in ascending order,
+random subsets sorted), then the lowest threshold, or the fewest
+intervals and the lexicographically first combination: the scan-order
+tie rule above. Every score comes from the same operations on the same
+operands as a feature-by-feature scan, so batching changes no tree.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +40,9 @@ import numpy as np
 from ..rng import SplitMix64, derive_seed
 
 _QUANTILE_CANDIDATES = 16
+_QUANTILE_LEVELS = (
+    np.arange(1, _QUANTILE_CANDIDATES + 1) / (_QUANTILE_CANDIDATES + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -88,27 +108,64 @@ def _node_payload(node) -> dict:
     }
 
 
-def _node_from_payload(p) -> object:
+def _node_from_payload(p, labels: set[int]) -> object:
+    """Rebuild a node, rejecting structures that cannot route every row."""
     if "leaf" in p:
-        return Leaf(int(p["leaf"]))
+        label = int(p["leaf"])
+        if label not in labels:
+            raise ValueError(f"leaf label {label} is not among class_ids")
+        return Leaf(label)
+    feature = int(p["feature"])
+    if feature < 0:
+        raise ValueError(f"split feature {feature} is negative")
+    thresholds = tuple(float(t) for t in p["thresholds"])
+    if not all(math.isfinite(t) for t in thresholds) or any(
+        a >= b for a, b in zip(thresholds, thresholds[1:])
+    ):
+        raise ValueError(
+            f"split thresholds {list(thresholds)} are not finite and "
+            f"strictly increasing"
+        )
+    children = p["children"]
+    if len(children) != len(thresholds) + 1:
+        raise ValueError(
+            f"{len(thresholds)} split thresholds need "
+            f"{len(thresholds) + 1} children, found {len(children)}"
+        )
     return SplitNode(
-        int(p["feature"]),
-        tuple(float(t) for t in p["thresholds"]),
-        tuple(_node_from_payload(c) for c in p["children"]),
+        feature, thresholds,
+        tuple(_node_from_payload(c, labels) for c in children),
     )
 
 
 def model_from_payload(p: dict):
+    class_ids = np.array(p["class_ids"], dtype=np.int64)
     if p["family"] == "forest":
-        return ForestModel(
-            tuple(model_from_payload(t) for t in p["trees"]),
-            np.array(p["class_ids"], dtype=np.int64),
+        forest = ForestModel(
+            tuple(model_from_payload(t) for t in p["trees"]), class_ids
         )
+        for tree in forest.trees:
+            if not np.isin(tree.class_ids, class_ids).all():
+                raise ValueError("a forest tree has class ids outside the forest's")
+        return forest
     return TreeModel(
-        _node_from_payload(p["root"]),
-        np.array(p["class_ids"], dtype=np.int64),
+        _node_from_payload(p["root"], set(class_ids.tolist())),
+        class_ids,
         p["family"],
     )
+
+
+def max_feature(model) -> int:
+    """Largest feature index any split of a tree or forest tests (-1: none)."""
+    if isinstance(model, ForestModel):
+        return max((max_feature(t) for t in model.trees), default=-1)
+    top, stack = -1, [model.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SplitNode):
+            top = max(top, node.feature)
+            stack.extend(node.children)
+    return top
 
 
 def _route(node, X, idx, out) -> None:
@@ -138,19 +195,40 @@ class GrowParams:
     subset_size: int | None = None  # random per-node feature subset
 
 
+@functools.cache
+def _interval_ends(m: int, size: int) -> np.ndarray:
+    """Every choice of `size` cuts among m candidates, as interval ends.
+
+    Row r lists the interval end points of the r-th combination in
+    lexicographic order: 0 (node start), the chosen candidates as 1..m,
+    and m + 1 (node end). Read-only, because the cache shares it.
+    """
+    combos = np.array(list(itertools.combinations(range(1, m + 1), size)),
+                      dtype=np.int64)
+    ends = np.empty((combos.shape[0], size + 2), dtype=np.int64)
+    ends[:, 0] = 0
+    ends[:, 1:-1] = combos
+    ends[:, -1] = m + 1
+    ends.flags.writeable = False
+    return ends
+
+
 class _Grower:
     def __init__(self, X, y_idx, w, n_classes, params, prng=None):
-        self.X = X
+        self.XT = np.ascontiguousarray(X.T)
         self.y = y_idx
         self.w = w
         self.K = n_classes
         self.p = params
         self.prng = prng
+        self.onehot = np.zeros((X.shape[0], n_classes), dtype=np.float64)
+        self.onehot[np.arange(X.shape[0]), y_idx] = w
         self.scratch = np.empty(X.shape[0], dtype=np.int64)
 
     def grow(self) -> object:
-        order = [np.argsort(self.X[:, f], kind="stable")
-                 for f in range(self.X.shape[1])]
+        # row f lists the rows in ascending order of feature f; every
+        # node keeps this (d, n) layout for its own rows
+        order = np.ascontiguousarray(np.argsort(self.XT, axis=1, kind="stable"))
         return self._node(order, depth=0)
 
     def _node(self, order, depth: int) -> object:
@@ -164,43 +242,42 @@ class _Grower:
             or (masses > 0).sum() <= 1
         ):
             return leaf
+        d = self.XT.shape[0]
         if self.p.subset_size is not None:
-            feats = sorted(
-                self.prng.sample_indices(self.X.shape[1], self.p.subset_size)
-            )
+            feats = np.array(sorted(self.prng.sample_indices(d, self.p.subset_size)))
         else:
-            feats = range(self.X.shape[1])
-        best_score, best_feat, best_thresholds = np.inf, -1, ()
-        for f in feats:
-            vals = self.X[order[f], f]
-            if vals[0] == vals[-1]:
-                continue
-            found = (
-                self._best_multiway(vals, order[f])
-                if self.p.multiway
-                else self._best_binary(vals, order[f])
-            )
-            if found is not None and found[0] < best_score:
-                best_score, best_thresholds = found
-                best_feat = f
-        if best_feat < 0:
+            feats = np.arange(d)
+        sub = order[feats]
+        vals = self.XT[feats[:, None], sub]
+        # class-mass prefix per candidate feature; cumz[j, i] sums the
+        # first i rows in feature j's order, so cumz[j, 0] is all zeros
+        n = rows.size
+        cumz = np.zeros((feats.size, n + 1, self.K), dtype=np.float64)
+        np.cumsum(self.onehot[sub], axis=1, out=cumz[:, 1:])
+        found = (
+            self._best_multiway(vals, cumz, self.w[sub].cumsum(axis=1))
+            if self.p.multiway
+            else self._best_binary(vals, cumz)
+        )
+        if found is None:
             return leaf
-        thresholds = np.asarray(best_thresholds)
-        cut = np.searchsorted(thresholds, self.X[rows, best_feat], side="left")
+        j, thresholds = found
+        best_feat = int(feats[j])
+        cut = np.searchsorted(thresholds, self.XT[best_feat, rows], side="left")
         self.scratch[rows] = cut
         # materialize every child's sorted index lists before recursing:
-        # the recursion reuses the scratch array for its own routing
+        # the recursion reuses the scratch array for its own routing.
+        # Each feature's row holds the same members of a child, so the
+        # row-major mask selection reshapes into per-feature lists that
+        # keep their sorted order.
+        lab = self.scratch[order]
+        sizes = np.bincount(cut, minlength=len(thresholds) + 1)
         child_orders = [
-            [o[self.scratch[o] == ci] for o in order]
+            order[lab == ci].reshape(d, int(sizes[ci]))
             for ci in range(len(thresholds) + 1)
         ]
         children = [self._node(co, depth + 1) for co in child_orders]
-        return SplitNode(int(best_feat), tuple(map(float, thresholds)), tuple(children))
-
-    def _class_cumsum(self, rows) -> np.ndarray:
-        onehot = np.zeros((rows.size, self.K), dtype=np.float64)
-        onehot[np.arange(rows.size), self.y[rows]] = self.w[rows]
-        return onehot.cumsum(axis=0)
+        return SplitNode(best_feat, thresholds, tuple(children))
 
     @staticmethod
     def _gini_sum(masses: np.ndarray) -> np.ndarray:
@@ -213,58 +290,81 @@ class _Grower:
         sq = (masses * masses).sum(axis=-1)
         return np.where(s > 0, (s * s - sq) / np.where(s > 0, s, 1.0), 0.0)
 
-    def _best_binary(self, vals, rows):
-        cum = self._class_cumsum(rows)
-        bounds = np.flatnonzero(vals[1:] != vals[:-1])
-        left = cum[bounds]
-        right = cum[-1] - left
-        score = self._gini_sum(left) + self._gini_sum(right)
-        b = int(score.argmin())
-        i = bounds[b]
-        t = (vals[i] + vals[i + 1]) / 2.0
-        if t >= vals[i + 1]:  # midpoint collapsed upward in float
-            t = vals[i]
-        return float(score[b]), (float(t),)
+    def _best_binary(self, vals, cumz):
+        """Best single threshold over all candidate features at once.
 
-    def _best_multiway(self, vals, rows):
-        cum = self._class_cumsum(rows)
-        cumz = np.vstack([np.zeros(self.K), cum])
-        wcum = self.w[rows].cumsum()
-        total_w = wcum[-1]
-        if total_w <= 0:
+        Returns (feature position in vals, (threshold,)), or None when
+        every candidate feature is constant on the node.
+        """
+        left = cumz[:, 1:-1]
+        right = cumz[:, -1:] - left
+        score = self._gini_sum(left) + self._gini_sum(right)
+        score[vals[:, 1:] == vals[:, :-1]] = np.inf
+        j, i = divmod(int(score.argmin()), score.shape[1])
+        if score[j, i] == np.inf:
             return None
-        levels = np.arange(1, _QUANTILE_CANDIDATES + 1) / (_QUANTILE_CANDIDATES + 1)
-        pos = np.searchsorted(wcum, levels * total_w, side="left")
-        cand = np.unique(vals[np.minimum(pos, vals.size - 1)])
-        cand = cand[cand < vals[-1]]
-        if cand.size == 0:
+        lo, hi = vals[j, i], vals[j, i + 1]
+        t = (lo + hi) / 2.0
+        if t >= hi:  # midpoint collapsed upward in float
+            t = lo
+        return int(j), (float(t),)
+
+    def _best_multiway(self, vals, cumz, wcum):
+        """Best interval partition over all candidate features at once.
+
+        Returns (feature position in vals, thresholds), or None when no
+        feature has a candidate cut.
+        """
+        m, n = vals.shape
+        # per feature: the value at each weighted quantile, i.e. at
+        # searchsorted(wcum, level * total, "left"), counted as the
+        # number of prefix sums below the target (wcum never decreases)
+        targets = _QUANTILE_LEVELS * wcum[:, -1:]
+        pos = (wcum[:, :, None] < targets[:, None, :]).sum(axis=1)
+        grid = np.take_along_axis(vals, np.minimum(pos, n - 1), axis=1)
+        # the grid is already in order; sorting it anyway orders equal
+        # values (-0.0 and 0.0) as np.unique does, which decides the sign
+        # a zero threshold is stored with. Its distinct values are then
+        # the first of each run; one below the largest value is a cut.
+        grid.sort(axis=1)
+        keep = (grid < vals[:, -1:]) & (wcum[:, -1:] > 0)
+        keep[:, 1:] &= grid[:, 1:] != grid[:, :-1]
+        n_cand = keep.sum(axis=1)
+        top = int(n_cand.max())
+        if top == 0:
             return None
-        cand_pos = np.searchsorted(vals, cand, side="right")
-        n = vals.size
-        best_score, best_cut = np.inf, None
-        for size in range(1, self.p.bins):
-            if size > cand.size:
-                break
-            combos = np.array(
-                list(itertools.combinations(range(cand.size), size)), dtype=np.int64
-            )
-            bounds = np.concatenate(
-                [
-                    np.zeros((combos.shape[0], 1), dtype=np.int64),
-                    cand_pos[combos],
-                    np.full((combos.shape[0], 1), n, dtype=np.int64),
-                ],
-                axis=1,
-            )
-            masses = cumz[bounds[:, 1:]] - cumz[bounds[:, :-1]]
-            scores = self._gini_sum(masses).sum(axis=1)
-            b = int(scores.argmin())
-            if scores[b] < best_score:
-                best_score = float(scores[b])
-                best_cut = tuple(float(v) for v in cand[combos[b]])
-        if best_cut is None:
+        # feature j's candidates in ascending order in cand[j, :n_cand[j]]
+        first = np.argsort(~keep, axis=1, kind="stable")[:, :top]
+        cand = np.take_along_axis(grid, first, axis=1)
+        # prefix row of each interval end: 0 (node start), just past the
+        # last row at or below each candidate, n (node end)
+        ends = np.empty((m, top + 2), dtype=np.int64)
+        ends[:, 0] = 0
+        ends[:, 1:-1] = (vals[:, :, None] <= cand[:, None, :]).sum(axis=1)
+        ends[:, -1] = n
+        points = np.take_along_axis(cumz, ends[:, :, None], axis=1)
+        # gini[j, a, b]: score of feature j's interval between points a, b
+        gini = self._gini_sum(points[:, None, :, :] - points[:, :, None, :])
+        gini = gini.reshape(m, -1)
+        scores, layouts = [], []
+        for size in range(1, min(self.p.bins, top + 1)):
+            cuts = _interval_ends(top, size)
+            s = np.take(gini, cuts[:, :-1] * (top + 2) + cuts[:, 1:], axis=1)
+            s = s.sum(axis=-1)
+            # a combination that uses a padding candidate is no cut
+            s[cuts[:, -2][None, :] > n_cand[:, None]] = np.inf
+            scores.append(s)
+            layouts.append(cuts)
+        # row-major first minimum: lowest feature, then fewest intervals,
+        # then the lexicographically first combination (scan order)
+        scores = np.concatenate(scores, axis=1)
+        j, b = divmod(int(scores.argmin()), scores.shape[1])
+        if scores[j, b] == np.inf:
             return None
-        return best_score, best_cut
+        for cuts in layouts:
+            if b < cuts.shape[0]:
+                return j, tuple(float(v) for v in cand[j, cuts[b, 1:-1] - 1])
+            b -= cuts.shape[0]
 
 
 def grow_tree(X, y_idx, w, n_classes, params: GrowParams, prng=None):
@@ -314,6 +414,18 @@ def fit_tree(ds, w, max_depth, min_leaf_weight, kind="tree", bins=4,
     return TreeModel(_to_label_tree(root, class_ids), class_ids, kind)
 
 
+def bootstrap_counts(prng: SplitMix64, cum: np.ndarray) -> np.ndarray:
+    """How often each row is picked in len(cum) draws with replacement.
+
+    cum is the running sum of the row probabilities. Draw u picks the
+    first row whose running sum exceeds u (the last row if rounding
+    leaves none); the draws consume len(cum) floats of prng.
+    """
+    n = cum.size
+    picks = np.searchsorted(cum, prng.next_floats(n), side="right")
+    return np.bincount(np.minimum(picks, n - 1), minlength=n)
+
+
 def fit_forest(ds, w, n_trees, max_depth, min_leaf_weight, subset_size,
                seed) -> ForestModel:
     """Seeded weighted bootstrap forest of random trees.
@@ -332,10 +444,7 @@ def fit_forest(ds, w, n_trees, max_depth, min_leaf_weight, subset_size,
     trees = []
     for i in range(n_trees):
         prng = SplitMix64(derive_seed(seed, i))
-        counts = np.zeros(n, dtype=np.int64)
-        for _ in range(n):
-            u = prng.next_float()
-            counts[min(np.searchsorted(cum, u, side="right"), n - 1)] += 1
+        counts = bootstrap_counts(prng, cum)
         picked = np.flatnonzero(counts > 0)
         sub = ds.subset(picked)
         sub_w = counts[picked].astype(np.float64)

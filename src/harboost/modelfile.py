@@ -18,6 +18,7 @@ import numpy as np
 
 from .boosting import BoostedEnsemble, BoostRound
 from .learners import LearnerSpec, model_from_payload, spec_from_payload
+from .learners.trees import ForestModel, TreeModel, max_feature
 
 FORMAT_VERSION = 1
 _KIND = "harboost.model"
@@ -94,14 +95,27 @@ def load_model(path) -> LoadedModel:
     if doc.get("shared_knn_rows") is not None:
         shared = np.array(doc["shared_knn_rows"], dtype=np.float64)
         shared.flags.writeable = False
+    n_features = len(doc["feature_names"])
     rounds = []
-    for r in doc["rounds"]:
+    for i, r in enumerate(doc["rounds"], start=1):
         payload = r["model"]
         if payload.get("family") == "knn" and isinstance(payload.get("rows"), str):
             if payload["rows"] != "shared" or shared is None:
                 raise ModelFormatError(f"{path}: dangling shared-rows reference")
             payload = {**payload, "rows": shared}
-        model = model_from_payload(payload)
+        try:
+            model = model_from_payload(payload)
+        except ValueError as e:
+            raise ModelFormatError(f"{path}: round {i}: {e}") from None
+        top = (
+            max_feature(model) if isinstance(model, (TreeModel, ForestModel))
+            else -1
+        )
+        if top >= n_features:
+            raise ModelFormatError(
+                f"{path}: round {i}: a split tests feature {top}, but the "
+                f"model has {n_features} features"
+            )
         rounds.append(BoostRound(model, float(r["alpha"]), float(r["epsilon"])))
     ensemble = BoostedEnsemble(
         rounds=tuple(rounds),

@@ -16,6 +16,8 @@ with all arithmetic modulo 2**64.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1393CFD9
@@ -65,6 +67,23 @@ class SplitMix64:
     def next_float(self) -> float:
         """Uniform float in [0, 1) built from the top 53 bits."""
         return (self.next_uint64() >> 11) * 2.0 ** -53
+
+    def next_floats(self, n: int) -> np.ndarray:
+        """The next n next_float() values, drawn as one vector.
+
+        The k-th state is state + k * GOLDEN, so all n states and their
+        finalizers are computed with wrapping uint64 arithmetic. The
+        values, and the state left behind, equal n sequential calls.
+        """
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        k = np.arange(1, n + 1, dtype=np.uint64)
+        z = k * np.uint64(_GOLDEN) + np.uint64(self._state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + n * _GOLDEN) & _MASK
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle (backward variant)."""

@@ -165,6 +165,17 @@ def tree_predict(node, x):
     return node[1]
 
 
+def bootstrap_counts(prng, cum):
+    """len(cum) draws with replacement, one next_float() each."""
+    n = len(cum)
+    counts = [0] * n
+    for _ in range(n):
+        u = prng.next_float()
+        pos = next((j for j, c in enumerate(cum) if c > u), n - 1)
+        counts[pos] += 1
+    return counts
+
+
 def forest_fit(X, y, w, n_trees, max_depth, min_leaf_weight, subset_size, seed):
     n = len(X)
     total = sum(w)
@@ -172,11 +183,7 @@ def forest_fit(X, y, w, n_trees, max_depth, min_leaf_weight, subset_size, seed):
     trees = []
     for i in range(n_trees):
         prng = SplitMix64(derive_seed(seed, i))
-        counts = [0] * n
-        for _ in range(n):
-            u = prng.next_float()
-            pos = next((j for j, c in enumerate(cum) if c > u), n - 1)
-            counts[pos] += 1
+        counts = bootstrap_counts(prng, cum)
         picked = [j for j in range(n) if counts[j] > 0]
         bx = [X[j] for j in picked]
         by = [y[j] for j in picked]

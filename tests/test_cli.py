@@ -276,3 +276,28 @@ def test_save_load_predict_equals_in_memory(capsys, tiny_csv, tmp_path):
     got = [int(l.split(",")[1]) for l in preds.read_text().splitlines()[1:]]
     want = boost_predict_batch(ens, ds.features).tolist()
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        # a missing third child left its rows' predictions uninitialized
+        {"feature": 0, "thresholds": [0.0, 0.5],
+         "children": [{"leaf": 1}, {"leaf": 2}]},
+        # an out-of-range feature raised IndexError (exit 4)
+        {"feature": 15, "thresholds": [0.0],
+         "children": [{"leaf": 1}, {"leaf": 2}]},
+    ],
+)
+def test_predict_malformed_tree_exit_3(capsys, tiny_csv, tmp_path, root):
+    model = tmp_path / "m.json"
+    run(capsys, ["train", "--from-csv", tiny_csv, "--learner", "decision-tree",
+                 "--rounds", "1", "--model-out", str(model)])
+    doc = json.loads(model.read_text())
+    doc["rounds"][0]["model"]["root"] = root
+    model.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, ["predict", "--model", str(model),
+                                        "--from-csv", tiny_csv])
+    assert code == 3
+    assert stdout == ""
+    assert "round 1" in stderr

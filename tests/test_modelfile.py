@@ -94,3 +94,63 @@ def test_save_is_byte_deterministic(tmp_path):
     save_model(b, boost_fit(spec, ds, rounds=2, seed=5), ds.feature_names,
                dataset_digest(ds), ds.n_rows)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _stub_tree_file(tmp_path, root, family=Family.DECISION_TREE):
+    """A saved one-round tree model whose root is replaced by `root`."""
+    ds = make_activity_dataset(40, 3, 2, seed=37, spread=0.4)
+    ens = boost_fit(LearnerSpec(family, max_depth=2, trees=2), ds, rounds=1,
+                    seed=0)
+    path = tmp_path / "m.json"
+    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    doc = json.loads(path.read_text())
+    model = doc["rounds"][0]["model"]
+    for tree in model.get("trees", [model]):
+        tree["root"] = root
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _split(feature, thresholds, labels):
+    return {"feature": feature, "thresholds": thresholds,
+            "children": [{"leaf": c} for c in labels]}
+
+
+@pytest.mark.parametrize(
+    "root,message",
+    [
+        (_split(0, [0.0, 0.5], [1, 2]), "need 3 children, found 2"),
+        (_split(0, [0.0], [1, 2, 3]), "need 2 children, found 3"),
+        (_split(0, [0.5, 0.0], [1, 2, 3]), "strictly increasing"),
+        (_split(0, [0.0, 0.0], [1, 2, 3]), "strictly increasing"),
+        (_split(0, [float("nan")], [1, 2]), "not finite"),
+        (_split(0, [float("inf")], [1, 2]), "not finite"),
+        (_split(-1, [0.0], [1, 2]), "feature -1 is negative"),
+        (_split(2, [0.0], [1, 2]), "tests feature 2, but the model has 2"),
+        (_split(0, [0.0], [1, 7]), "leaf label 7 is not among class_ids"),
+        ({"leaf": 9}, "leaf label 9 is not among class_ids"),
+    ],
+)
+@pytest.mark.parametrize("family", [Family.DECISION_TREE, Family.RANDOM_FOREST])
+def test_malformed_tree_payload_rejected(tmp_path, family, root, message):
+    path = _stub_tree_file(tmp_path, root, family)
+    with pytest.raises(ModelFormatError, match=f"round 1: .*{message}"):
+        load_model(path)
+
+
+def test_forest_tree_classes_must_be_forest_classes(tmp_path):
+    path = _stub_tree_file(tmp_path, {"leaf": 1}, Family.RANDOM_FOREST)
+    doc = json.loads(path.read_text())
+    tree = doc["rounds"][0]["model"]["trees"][0]
+    tree["class_ids"] = [1, 5]
+    tree["root"] = {"leaf": 5}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="outside the forest's"):
+        load_model(path)
+
+
+def test_well_formed_stub_tree_loads(tmp_path):
+    path = _stub_tree_file(tmp_path, _split(1, [-0.5, 0.5], [1, 2, 3]))
+    model = load_model(path).ensemble.rounds[0].model
+    queries = np.array([[0.0, -0.9], [0.0, 0.0], [0.0, 0.5], [0.0, 0.9]])
+    assert model.predict_batch(queries).tolist() == [1, 2, 2, 3]

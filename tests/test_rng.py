@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from harboost.rng import SplitMix64, derive_seed, mix64
@@ -77,3 +78,21 @@ def test_derive_seed_changes_with_parts():
     assert derive_seed(42, 0) != derive_seed(42, 1)
     assert derive_seed(42, 1, 2) != derive_seed(42, 2, 1)
     assert derive_seed(42, 7) == derive_seed(42, 7)
+
+
+@pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 3])
+def test_next_floats_equals_sequential_draws(seed):
+    bulk, seq = SplitMix64(seed), SplitMix64(seed)
+    got = bulk.next_floats(257)
+    assert got.dtype == np.float64
+    assert got.tolist() == [seq.next_float() for _ in range(257)]
+    # both streams continue from the same state
+    assert bulk.next_uint64() == seq.next_uint64()
+
+
+def test_next_floats_zero_and_negative():
+    s, ref = SplitMix64(42), SplitMix64(42)
+    assert s.next_floats(0).shape == (0,)
+    assert s.next_uint64() == ref.next_uint64()
+    with pytest.raises(ValueError):
+        s.next_floats(-1)

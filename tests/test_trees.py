@@ -6,8 +6,8 @@ import pytest
 import oracles
 from harboost.dataset import Dataset
 from harboost.learners import Family, LearnerSpec, fit
-from harboost.learners.trees import Leaf, SplitNode
-from harboost.rng import SplitMix64
+from harboost.learners.trees import Leaf, SplitNode, bootstrap_counts
+from harboost.rng import SplitMix64, derive_seed
 from harboost.synthetic import make_activity_dataset
 
 
@@ -183,6 +183,20 @@ def test_forest_matches_oracle(seed, rng_queries):
     got = m.predict_batch(queries).tolist()
     want = [oracles.forest_predict(trees, q) for q in queries]
     assert got == want
+
+
+def test_forest_bootstrap_counts_match_scalar_draws():
+    g = np.random.default_rng(22)
+    w = g.uniform(0.0, 1.0, 300)
+    w[g.uniform(size=300) < 0.2] = 0.0
+    cum = np.cumsum(w / w.sum())
+    seed = derive_seed(21, 3)
+    prng, ref = SplitMix64(seed), SplitMix64(seed)
+    got = bootstrap_counts(prng, cum)
+    assert got.tolist() == oracles.bootstrap_counts(ref, cum.tolist())
+    assert got.sum() == 300
+    # the feature subsets drawn next see the same stream
+    assert prng.next_uint64() == ref.next_uint64()
 
 
 # ---------------------------------------------------------------------------
