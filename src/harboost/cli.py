@@ -25,6 +25,7 @@ from .dataset import (
     dataset_digest,
     load_csv,
     load_hapt,
+    require_finite,
     save_csv,
     select_features,
     summarize_by_activity,
@@ -67,6 +68,10 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
                    help="regularization for regressions/discriminants")
 
 
+_THREADS_HELP = ("worker processes for fold evaluation, at most one per CPU "
+                 "(never changes results)")
+
+
 def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default="text", choices=["text", "json", "csv"])
     p.add_argument("--out", help="write the report here instead of stdout")
@@ -95,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_run_args(p)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel fold evaluation (never changes results)")
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     _add_output_args(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -104,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_run_args(p)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--learners", default=None,
                    help="comma-separated families (default: all twelve)")
     _add_output_args(p)
@@ -335,6 +339,7 @@ def _read_feature_csv(path, expected_names) -> np.ndarray:
                 except ValueError as e:
                     raise DataError(f"{path}: line {ln}: {e}") from None
         ds_names, feats = header, np.array(rows, dtype=np.float64)
+        require_finite(feats, f"{path}: ")
     expected = list(expected_names)
     if ds_names != expected:
         missing = [n for n in expected if n not in ds_names]

@@ -91,6 +91,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def require_finite(feats: np.ndarray, where: str = "") -> None:
+    """Raise DataError naming the first non-finite cell (1-based row and
+    column of the matrix), prefixed by `where`."""
+    if not np.isfinite(feats).all():
+        r, c = np.argwhere(~np.isfinite(feats))[0]
+        raise DataError(f"{where}non-finite value at row {r + 1}, column {c + 1}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix with per-row activity labels.
@@ -119,9 +127,7 @@ class Dataset:
             raise DataError(
                 f"{len(names)} feature names for {feats.shape[1]} columns"
             )
-        if not np.isfinite(feats).all():
-            r, c = np.argwhere(~np.isfinite(feats))[0]
-            raise DataError(f"non-finite value at row {r + 1}, column {c + 1}")
+        require_finite(feats)
         bad = (labs < 1) | (labs > 12)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])

@@ -10,7 +10,9 @@ that order restricted to the classes present.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +151,123 @@ def _fold_result(base_spec, ds, assignment, fold, rounds, seed, labels):
     return float((pred == true).mean()), cm
 
 
+def worker_count(threads: int, tasks: int, cpus: int) -> int:
+    """Worker processes for `tasks` independent fold jobs at --threads
+    `threads`: never more than the CPUs this process may run on, nor
+    than there are tasks."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    return max(1, min(threads, cpus, tasks))
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or os.cpu_count() or 1
+    return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class _CVJob:
+    """Inputs shared by every (spec index, fold) task of one run."""
+
+    specs: tuple
+    ds: Dataset
+    assignment: FoldAssignment
+    rounds: int
+    seed: int
+    labels: tuple[ActivityLabel, ...]
+
+    def run(self, spec_index: int, fold: int):
+        return _fold_result(
+            self.specs[spec_index], self.ds, self.assignment, fold,
+            self.rounds, self.seed, self.labels,
+        )
+
+
+#: The job of the pool this worker process belongs to (set by _init_worker).
+_worker_job: _CVJob | None = None
+
+
+def _init_worker(job: _CVJob) -> None:
+    global _worker_job
+    _worker_job = job
+    # Ctrl-C reaches the whole process group: a worker ends at once and
+    # the parent, which gets KeyboardInterrupt, cancels the pool.
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def _worker_task(spec_index: int, fold: int):
+    return _worker_job.run(spec_index, fold)
+
+
+def _pool_context():
+    """fork where the platform has it and this process runs no other
+    thread (a fork copies locks other threads may hold): workers then
+    inherit the job without pickling and start in milliseconds."""
+    import multiprocessing as mp
+
+    if "fork" in mp.get_all_start_methods() and threading.active_count() == 1:
+        return mp.get_context("fork")
+    return mp.get_context("spawn")
+
+
+def _run_tasks(job: _CVJob, tasks, threads: int) -> list:
+    """(accuracy, ConfusionMatrix) of every (spec index, fold) task, in
+    task order. One worker runs the tasks in this process; more run them
+    in one process pool that receives the job once per worker."""
+    workers = worker_count(threads, len(tasks), _available_cpus())
+    if workers == 1:
+        return [job.run(i, f) for i, f in tasks]
+    # Imported here because loading the process-pool modules takes about
+    # 15 ms, which every serial run and every `import harboost` would pay.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=_pool_context(),
+        initializer=_init_worker, initargs=(job,),
+    ) as pool:
+        futures = [pool.submit(_worker_task, i, f) for i, f in tasks]
+        try:
+            return [fut.result() for fut in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _cv_result(spec, results, labels, folds, rounds, seed) -> CVResult:
+    fold_accuracies = tuple(acc for acc, _ in results)
+    counts = sum(cm.counts for _, cm in results)
+    aggregate = ConfusionMatrix(counts, labels)
+    mean = sum(fold_accuracies) / folds
+    var = sum((a - mean) ** 2 for a in fold_accuracies) / (folds - 1)
+    return CVResult(
+        fold_accuracies=fold_accuracies,
+        mean_accuracy=mean,
+        std_accuracy=math.sqrt(var),
+        micro_accuracy=overall_accuracy(aggregate),
+        aggregate=aggregate,
+        learner=spec,
+        folds=folds,
+        rounds=rounds,
+        seed=seed,
+    )
+
+
+def _cross_validate_all(specs, ds, folds, rounds, seed, assignment,
+                        threads) -> list[CVResult]:
+    """Cross-validate every spec on one fold assignment, running all
+    (spec, fold) tasks through one executor."""
+    labels = report_order(np.unique(ds.labels))
+    job = _CVJob(tuple(specs), ds, assignment, rounds, seed, labels)
+    tasks = [(i, f) for i in range(len(specs)) for f in range(folds)]
+    results = _run_tasks(job, tasks, threads)
+    return [
+        _cv_result(spec, results[i * folds:(i + 1) * folds], labels,
+                   folds, rounds, seed)
+        for i, spec in enumerate(specs)
+    ]
+
+
 def cross_validate(
     base_spec,
     ds: Dataset,
@@ -162,38 +281,16 @@ def cross_validate(
 
     Every row is predicted exactly once by the ensemble trained on its
     fold's complement. Fold f boosts with seed derive_seed(seed, f).
-    The result is independent of the thread count.
+    With threads > 1 the folds run in up to that many worker processes;
+    the result is independent of the thread count.
     """
     if assignment is None:
         assignment = stratified_folds(ds, folds, seed)
     elif assignment.k != folds or assignment.fold_of_row.shape[0] != ds.n_rows:
         raise ValueError("fold assignment does not match dataset/fold count")
-    labels = report_order(np.unique(ds.labels))
-    args = [
-        (base_spec, ds, assignment, f, rounds, seed, labels)
-        for f in range(folds)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: _fold_result(*a), args))
-    else:
-        results = [_fold_result(*a) for a in args]
-    fold_accuracies = tuple(acc for acc, _ in results)
-    counts = sum(cm.counts for _, cm in results)
-    aggregate = ConfusionMatrix(counts, labels)
-    mean = sum(fold_accuracies) / folds
-    var = sum((a - mean) ** 2 for a in fold_accuracies) / (folds - 1)
-    return CVResult(
-        fold_accuracies=fold_accuracies,
-        mean_accuracy=mean,
-        std_accuracy=math.sqrt(var),
-        micro_accuracy=overall_accuracy(aggregate),
-        aggregate=aggregate,
-        learner=base_spec,
-        folds=folds,
-        rounds=rounds,
-        seed=seed,
-    )
+    return _cross_validate_all(
+        [base_spec], ds, folds, rounds, seed, assignment, threads
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -237,12 +334,11 @@ def compare(
     if not specs:
         raise ValueError("no learner specs given")
     assignment = stratified_folds(ds, folds, seed)
+    results = _cross_validate_all(
+        specs, ds, folds, rounds, seed, assignment, threads
+    )
     measured = []
-    for i, spec in enumerate(specs):
-        result = cross_validate(
-            spec, ds, folds=folds, rounds=rounds, seed=seed,
-            assignment=assignment, threads=threads,
-        )
+    for i, (spec, result) in enumerate(zip(specs, results)):
         name = DISPLAY_NAMES.get(spec.family, str(spec.family)) \
             if isinstance(spec, LearnerSpec) else type(spec).__name__
         measured.append((i, ComparisonRow(name, spec, result)))

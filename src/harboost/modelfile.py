@@ -11,6 +11,7 @@ prediction can reuse one neighbor table for all rounds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,10 @@ from .learners.trees import ForestModel, TreeModel, max_feature
 
 FORMAT_VERSION = 1
 _KIND = "harboost.model"
+_DOC_KEYS = ("base_spec", "num_classes", "class_ids", "rounds_requested",
+             "seed", "rounds", "feature_names", "metadata")
+_ROUND_KEYS = ("alpha", "epsilon", "model")
+_METADATA_KEYS = ("n_rows", "dataset_digest")
 
 
 class ModelFormatError(Exception):
@@ -75,6 +80,12 @@ def save_model(path, ensemble: BoostedEnsemble, feature_names,
     )
 
 
+def _require_keys(obj, keys, where: str) -> None:
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ModelFormatError(f"{where}: missing key(s): {', '.join(missing)}")
+
+
 def load_model(path) -> LoadedModel:
     path = Path(path)
     if not path.is_file():
@@ -91,6 +102,15 @@ def load_model(path) -> LoadedModel:
             f"{path}: format_version {version!r} is not supported "
             f"(expected {FORMAT_VERSION})"
         )
+    _require_keys(doc, _DOC_KEYS, str(path))
+    _require_keys(doc["metadata"], _METADATA_KEYS, f"{path}: metadata")
+    num_classes = int(doc["num_classes"])
+    class_ids = np.array(doc["class_ids"], dtype=np.int64)
+    if class_ids.shape != (num_classes,):
+        raise ModelFormatError(
+            f"{path}: {len(doc['class_ids'])} class_ids for "
+            f"num_classes {num_classes}"
+        )
     shared = None
     if doc.get("shared_knn_rows") is not None:
         shared = np.array(doc["shared_knn_rows"], dtype=np.float64)
@@ -98,6 +118,10 @@ def load_model(path) -> LoadedModel:
     n_features = len(doc["feature_names"])
     rounds = []
     for i, r in enumerate(doc["rounds"], start=1):
+        _require_keys(r, _ROUND_KEYS, f"{path}: round {i}")
+        alpha = float(r["alpha"])
+        if not math.isfinite(alpha):
+            raise ModelFormatError(f"{path}: round {i}: non-finite alpha {alpha}")
         payload = r["model"]
         if payload.get("family") == "knn" and isinstance(payload.get("rows"), str):
             if payload["rows"] != "shared" or shared is None:
@@ -116,11 +140,11 @@ def load_model(path) -> LoadedModel:
                 f"{path}: round {i}: a split tests feature {top}, but the "
                 f"model has {n_features} features"
             )
-        rounds.append(BoostRound(model, float(r["alpha"]), float(r["epsilon"])))
+        rounds.append(BoostRound(model, alpha, float(r["epsilon"])))
     ensemble = BoostedEnsemble(
         rounds=tuple(rounds),
-        num_classes=int(doc["num_classes"]),
-        class_ids=np.array(doc["class_ids"], dtype=np.int64),
+        num_classes=num_classes,
+        class_ids=class_ids,
         base_spec=spec_from_payload(doc["base_spec"]),
         rounds_requested=int(doc["rounds_requested"]),
         seed=int(doc["seed"]),

@@ -53,7 +53,7 @@ def test_criterion_1_headline_reproduction(hapt_dataset):
     for seed in (1, 2, 3):
         res = cross_validate(
             LearnerSpec(Family.KNN, k=12), hapt_dataset,
-            folds=10, rounds=10, seed=seed, threads=4,
+            folds=10, rounds=10, seed=seed, threads=2,
         )
         micros.append(res.micro_accuracy * 100)
         stds.append(res.std_accuracy * 100)
@@ -180,7 +180,7 @@ def test_criterion_4_ordering(hapt_dataset):
     for fam in families:
         res = cross_validate(
             LearnerSpec(fam, k=12), hapt_dataset,
-            folds=10, rounds=10, seed=1, threads=4,
+            folds=10, rounds=10, seed=1, threads=2,
         )
         micro[fam] = res.micro_accuracy
     for fam in families[1:]:
@@ -340,7 +340,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path, capsys):
         "--format", "json",
     ]
     outs = []
-    for extra in ([], [], ["--threads", "4"]):
+    for extra in ([], [], ["--threads", "2"]):
         assert cli_main(argv + extra) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -115,7 +116,7 @@ def test_evaluate_json_byte_identical_and_parallel(capsys, tiny_csv):
     ]
     code1, out1, _ = run(capsys, argv)
     code2, out2, _ = run(capsys, argv)
-    code3, out3, _ = run(capsys, argv + ["--threads", "3"])
+    code3, out3, _ = run(capsys, argv + ["--threads", "2"])
     assert code1 == code2 == code3 == 0
     assert out1 == out2
     r1, r3 = json.loads(out1), json.loads(out3)
@@ -230,6 +231,26 @@ def test_predict_accepts_feature_only_csv(capsys, tiny_csv, tmp_path):
     assert got == ds.labels.tolist()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_predict_rejects_non_finite_feature_cells(capsys, tiny_csv, tmp_path,
+                                                  cell):
+    model = tmp_path / "m.json"
+    run(capsys, ["train", "--from-csv", tiny_csv, "--learner", "knn",
+                 "--k", "1", "--rounds", "1", "--model-out", str(model)])
+    text = Path(tiny_csv).read_text()
+    lines = [",".join(l.split(",")[:-2]) for l in text.splitlines()]
+    cells = lines[2].split(",")
+    cells[4] = cell
+    lines[2] = ",".join(cells)
+    bare = tmp_path / "bare.csv"
+    bare.write_text("\n".join(lines) + "\n")
+    code, stdout, stderr = run(capsys, ["predict", "--model", str(model),
+                                        "--from-csv", str(bare)])
+    assert code == 3
+    assert stdout == ""
+    assert "non-finite value at row 2, column 5" in stderr
+
+
 def test_both_dataset_sources_rejected(capsys, data_dir, tiny_csv):
     code, _, stderr = run(capsys, ["summarize", "--data-dir", data_dir,
                                    "--from-csv", tiny_csv])
@@ -276,6 +297,29 @@ def test_save_load_predict_equals_in_memory(capsys, tiny_csv, tmp_path):
     got = [int(l.split(",")[1]) for l in preds.read_text().splitlines()[1:]]
     want = boost_predict_batch(ens, ds.features).tolist()
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc.pop("rounds"), "missing key"),
+        (lambda doc: doc.update(class_ids=doc["class_ids"][:3]), "class_ids"),
+    ],
+    ids=["no-rounds", "short-class-ids"],
+)
+def test_predict_malformed_model_exit_3(capsys, tiny_csv, tmp_path, edit,
+                                        message):
+    model = tmp_path / "m.json"
+    run(capsys, ["train", "--from-csv", tiny_csv, "--learner", "naive-bayes",
+                 "--rounds", "2", "--model-out", str(model)])
+    doc = json.loads(model.read_text())
+    edit(doc)
+    model.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, ["predict", "--model", str(model),
+                                        "--from-csv", tiny_csv])
+    assert code == 3
+    assert stdout == ""
+    assert message in stderr
 
 
 @pytest.mark.parametrize(

@@ -198,7 +198,7 @@ def test_cv_constant_stub_returns_majority_fraction_exactly():
 def test_cv_serial_equals_parallel(blobs4):
     spec = LearnerSpec(Family.KNN, k=3)
     a = cross_validate(spec, blobs4, folds=4, rounds=3, seed=11, threads=1)
-    b = cross_validate(spec, blobs4, folds=4, rounds=3, seed=11, threads=4)
+    b = cross_validate(spec, blobs4, folds=4, rounds=3, seed=11, threads=2)
     assert a.fold_accuracies == b.fold_accuracies
     np.testing.assert_array_equal(a.aggregate.counts, b.aggregate.counts)
     assert a.micro_accuracy == b.micro_accuracy

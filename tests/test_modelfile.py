@@ -85,6 +85,60 @@ def test_not_a_model_file(tmp_path):
         load_model(tmp_path / "absent.json")
 
 
+def _naive_bayes_file(tmp_path):
+    ds = make_activity_dataset(60, 4, 3, seed=37, spread=0.5)
+    ens = boost_fit(LearnerSpec(Family.NAIVE_BAYES), ds, rounds=2, seed=0)
+    path = tmp_path / "m.json"
+    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    return path
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["base_spec", "num_classes", "class_ids", "rounds_requested", "seed",
+     "rounds", "feature_names", "metadata"],
+)
+def test_missing_top_level_key_rejected(tmp_path, key):
+    path = _naive_bayes_file(tmp_path)
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=f"missing key.*{key}"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("where,key", [("round", "alpha"), ("round", "model"),
+                                       ("metadata", "n_rows")])
+def test_missing_nested_key_rejected(tmp_path, where, key):
+    path = _naive_bayes_file(tmp_path)
+    doc = json.loads(path.read_text())
+    del (doc["rounds"][0] if where == "round" else doc["metadata"])[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=f"missing key.*{key}"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("class_ids", [[1, 2, 3], [1, 2, 3, 4, 5], []])
+def test_class_ids_must_match_num_classes(tmp_path, class_ids):
+    path = _naive_bayes_file(tmp_path)
+    doc = json.loads(path.read_text())
+    assert doc["num_classes"] == 4
+    doc["class_ids"] = class_ids
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="class_ids"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_alpha_rejected(tmp_path, alpha):
+    path = _naive_bayes_file(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["rounds"][1]["alpha"] = alpha
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="round 2: non-finite alpha"):
+        load_model(path)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     ds = make_activity_dataset(40, 3, 2, seed=36)
     spec = LearnerSpec(Family.RANDOM_FOREST, trees=3, max_depth=3, seed=1)
