@@ -338,6 +338,8 @@ def _read_feature_csv(path, expected_names) -> np.ndarray:
                     rows.append([float(c) for c in cells])
                 except ValueError as e:
                     raise DataError(f"{path}: line {ln}: {e}") from None
+        if not rows:
+            raise DataError(f"{path}: no data rows")
         ds_names, feats = header, np.array(rows, dtype=np.float64)
         require_finite(feats, f"{path}: ")
     expected = list(expected_names)

@@ -27,6 +27,8 @@ _DOC_KEYS = ("base_spec", "num_classes", "class_ids", "rounds_requested",
              "seed", "rounds", "feature_names", "metadata")
 _ROUND_KEYS = ("alpha", "epsilon", "model")
 _METADATA_KEYS = ("n_rows", "dataset_digest")
+_SPEC_INTS = ("k", "max_depth", "bins", "trees", "seed")
+_SPEC_KEYS = ("family", "min_leaf_weight", "subset_size", "ridge") + _SPEC_INTS
 
 
 class ModelFormatError(Exception):
@@ -81,9 +83,32 @@ def save_model(path, ensemble: BoostedEnsemble, feature_names,
 
 
 def _require_keys(obj, keys, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where}: not a JSON object")
     missing = [k for k in keys if k not in obj]
     if missing:
         raise ModelFormatError(f"{where}: missing key(s): {', '.join(missing)}")
+
+
+_JSON_TYPES = {"integer": int, "number": (int, float), "array": list}
+
+
+def _require_type(value, kind: str, where: str):
+    """value, if it is a JSON value of `kind` (a key of _JSON_TYPES)."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ModelFormatError(f"{where} is {value!r}, not a JSON {kind}")
+    return value
+
+
+def _check_spec(p, where: str) -> None:
+    _require_keys(p, _SPEC_KEYS, where)
+    for key in _SPEC_INTS:
+        _require_type(p[key], "integer", f"{where}: {key}")
+    _require_type(p["min_leaf_weight"], "number", f"{where}: min_leaf_weight")
+    if p["subset_size"] is not None:
+        _require_type(p["subset_size"], "integer", f"{where}: subset_size")
+    if p["ridge"] is not None:
+        _require_type(p["ridge"], "number", f"{where}: ridge")
 
 
 def load_model(path) -> LoadedModel:
@@ -104,7 +129,16 @@ def load_model(path) -> LoadedModel:
         )
     _require_keys(doc, _DOC_KEYS, str(path))
     _require_keys(doc["metadata"], _METADATA_KEYS, f"{path}: metadata")
-    num_classes = int(doc["num_classes"])
+    _check_spec(doc["base_spec"], f"{path}: base_spec")
+    for key in ("num_classes", "rounds_requested", "seed"):
+        _require_type(doc[key], "integer", f"{path}: {key}")
+    _require_type(doc["metadata"]["n_rows"], "integer",
+                  f"{path}: metadata: n_rows")
+    for key in ("class_ids", "rounds", "feature_names"):
+        _require_type(doc[key], "array", f"{path}: {key}")
+    for c in doc["class_ids"]:
+        _require_type(c, "integer", f"{path}: a class id")
+    num_classes = doc["num_classes"]
     class_ids = np.array(doc["class_ids"], dtype=np.int64)
     if class_ids.shape != (num_classes,):
         raise ModelFormatError(
@@ -113,46 +147,58 @@ def load_model(path) -> LoadedModel:
         )
     shared = None
     if doc.get("shared_knn_rows") is not None:
-        shared = np.array(doc["shared_knn_rows"], dtype=np.float64)
+        try:
+            shared = np.array(doc["shared_knn_rows"], dtype=np.float64)
+        except (ValueError, TypeError) as e:
+            raise ModelFormatError(f"{path}: shared_knn_rows: {e}") from None
         shared.flags.writeable = False
     n_features = len(doc["feature_names"])
     rounds = []
     for i, r in enumerate(doc["rounds"], start=1):
-        _require_keys(r, _ROUND_KEYS, f"{path}: round {i}")
-        alpha = float(r["alpha"])
+        where = f"{path}: round {i}"
+        _require_keys(r, _ROUND_KEYS, where)
+        alpha = float(_require_type(r["alpha"], "number", f"{where}: alpha"))
+        epsilon = float(
+            _require_type(r["epsilon"], "number", f"{where}: epsilon")
+        )
         if not math.isfinite(alpha):
-            raise ModelFormatError(f"{path}: round {i}: non-finite alpha {alpha}")
+            raise ModelFormatError(f"{where}: non-finite alpha {alpha}")
         payload = r["model"]
+        _require_keys(payload, ("family",), f"{where}: model")
         if payload.get("family") == "knn" and isinstance(payload.get("rows"), str):
             if payload["rows"] != "shared" or shared is None:
                 raise ModelFormatError(f"{path}: dangling shared-rows reference")
             payload = {**payload, "rows": shared}
         try:
             model = model_from_payload(payload)
-        except ValueError as e:
-            raise ModelFormatError(f"{path}: round {i}: {e}") from None
+        except (ValueError, TypeError, KeyError) as e:
+            raise ModelFormatError(f"{where}: {type(e).__name__}: {e}") from None
         top = (
             max_feature(model) if isinstance(model, (TreeModel, ForestModel))
             else -1
         )
         if top >= n_features:
             raise ModelFormatError(
-                f"{path}: round {i}: a split tests feature {top}, but the "
+                f"{where}: a split tests feature {top}, but the "
                 f"model has {n_features} features"
             )
-        rounds.append(BoostRound(model, alpha, float(r["epsilon"])))
+        rounds.append(BoostRound(model, alpha, epsilon))
+    try:
+        spec = spec_from_payload(doc["base_spec"])
+    except ValueError as e:  # an unknown family
+        raise ModelFormatError(f"{path}: base_spec: {e}") from None
     ensemble = BoostedEnsemble(
         rounds=tuple(rounds),
         num_classes=num_classes,
         class_ids=class_ids,
-        base_spec=spec_from_payload(doc["base_spec"]),
-        rounds_requested=int(doc["rounds_requested"]),
-        seed=int(doc["seed"]),
+        base_spec=spec,
+        rounds_requested=doc["rounds_requested"],
+        seed=doc["seed"],
     )
     meta = doc["metadata"]
     return LoadedModel(
         ensemble=ensemble,
         feature_names=tuple(doc["feature_names"]),
-        n_rows=int(meta["n_rows"]),
+        n_rows=meta["n_rows"],
         dataset_digest=str(meta["dataset_digest"]),
     )

@@ -206,7 +206,7 @@ def test_predict_column_rename_lists_offender(capsys, tiny_csv, tmp_path):
     run(capsys, ["train", "--from-csv", tiny_csv, "--learner", "naive-bayes",
                  "--rounds", "1", "--model-out", str(model)])
     renamed = tmp_path / "renamed.csv"
-    text = open(tiny_csv).read().replace("tBodyAcc-Mean-1", "tBodyAcc-Mean-X", 1)
+    text = Path(tiny_csv).read_text().replace("tBodyAcc-Mean-1", "tBodyAcc-Mean-X", 1)
     renamed.write_text(text)
     code, _, stderr = run(capsys, ["predict", "--model", str(model),
                                    "--from-csv", str(renamed)])
@@ -220,7 +220,7 @@ def test_predict_accepts_feature_only_csv(capsys, tiny_csv, tmp_path):
     run(capsys, ["train", "--from-csv", tiny_csv, "--learner", "knn",
                  "--k", "1", "--rounds", "1", "--model-out", str(model)])
     bare = tmp_path / "bare.csv"
-    lines = open(tiny_csv).read().splitlines()
+    lines = Path(tiny_csv).read_text().splitlines()
     stripped = [",".join(l.split(",")[:-2]) for l in lines]
     bare.write_text("\n".join(stripped) + "\n")
     code, stdout, _ = run(capsys, ["predict", "--model", str(model),
@@ -229,6 +229,22 @@ def test_predict_accepts_feature_only_csv(capsys, tiny_csv, tmp_path):
     ds = load_csv(tiny_csv)
     got = [int(l.split(",")[1]) for l in stdout.splitlines()[1:]]
     assert got == ds.labels.tolist()
+
+
+def test_predict_feature_only_csv_without_rows_exit_3(capsys, tiny_csv,
+                                                      tmp_path):
+    # a header alone raised IndexError (exit 4)
+    model = tmp_path / "m.json"
+    run(capsys, ["train", "--from-csv", tiny_csv, "--learner", "knn",
+                 "--k", "1", "--rounds", "1", "--model-out", str(model)])
+    header = Path(tiny_csv).read_text().splitlines()[0]
+    bare = tmp_path / "header-only.csv"
+    bare.write_text(",".join(header.split(",")[:-2]) + "\n")
+    code, stdout, stderr = run(capsys, ["predict", "--model", str(model),
+                                        "--from-csv", str(bare)])
+    assert code == 3
+    assert stdout == ""
+    assert "no data rows" in stderr
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -304,8 +320,18 @@ def test_save_load_predict_equals_in_memory(capsys, tiny_csv, tmp_path):
     [
         (lambda doc: doc.pop("rounds"), "missing key"),
         (lambda doc: doc.update(class_ids=doc["class_ids"][:3]), "class_ids"),
+        # each of these ended in a TypeError or ValueError (exit 4 or 2)
+        (lambda doc: doc.update(rounds=5), "not a JSON array"),
+        (lambda doc: doc["rounds"].__setitem__(0, "r"), "not a JSON object"),
+        (lambda doc: doc["rounds"][0].update(model=7), "not a JSON object"),
+        (lambda doc: doc["rounds"][0].update(alpha="high"),
+         "not a JSON number"),
+        (lambda doc: doc["rounds"][0].update(epsilon=None),
+         "not a JSON number"),
+        (lambda doc: doc["base_spec"].update(k=3.5), "not a JSON integer"),
     ],
-    ids=["no-rounds", "short-class-ids"],
+    ids=["no-rounds", "short-class-ids", "rounds-int", "round-str",
+         "model-int", "alpha-str", "epsilon-null", "k-float"],
 )
 def test_predict_malformed_model_exit_3(capsys, tiny_csv, tmp_path, edit,
                                         message):

@@ -139,6 +139,46 @@ def test_non_finite_alpha_rejected(tmp_path, alpha):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc.update(rounds=5), "rounds is 5, not a JSON array"),
+        (lambda doc: doc["rounds"].__setitem__(0, 3),
+         "round 1: not a JSON object"),
+        (lambda doc: doc["rounds"][1].update(model=[1, 2]),
+         "round 2: model: not a JSON object"),
+        (lambda doc: doc["rounds"][0].update(alpha="0.5"),
+         "round 1: alpha is '0.5', not a JSON number"),
+        (lambda doc: doc["rounds"][0].update(alpha=None),
+         "round 1: alpha is None, not a JSON number"),
+        (lambda doc: doc["rounds"][1].update(epsilon=[0.1]),
+         r"round 2: epsilon is \[0.1\], not a JSON number"),
+        (lambda doc: doc["base_spec"].update(k=2.5),
+         "base_spec: k is 2.5, not a JSON integer"),
+        (lambda doc: doc["base_spec"].update(k="12"),
+         "base_spec: k is '12', not a JSON integer"),
+        (lambda doc: doc["base_spec"].update(max_depth=True),
+         "base_spec: max_depth is True, not a JSON integer"),
+        (lambda doc: doc["base_spec"].update(family="boosted-oracle"),
+         "base_spec: .*boosted-oracle"),
+        (lambda doc: doc.update(num_classes="4"),
+         "num_classes is '4', not a JSON integer"),
+        (lambda doc: doc.update(class_ids=[1, 2, "3", 4]),
+         "a class id is '3', not a JSON integer"),
+    ],
+    ids=["rounds-int", "round-int", "model-list", "alpha-str", "alpha-null",
+         "epsilon-list", "k-float", "k-str", "depth-bool", "family",
+         "num-classes-str", "class-id-str"],
+)
+def test_wrong_value_types_rejected(tmp_path, edit, message):
+    path = _naive_bayes_file(tmp_path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     ds = make_activity_dataset(40, 3, 2, seed=36)
     spec = LearnerSpec(Family.RANDOM_FOREST, trees=3, max_depth=3, seed=1)
