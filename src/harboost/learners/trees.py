@@ -40,9 +40,9 @@ one step. Random trees draw each node's feature subset from their
 SplitMix64 stream in preorder (a node draws only if it is not stopped
 before the search), so a step takes one node per tree: its next node in
 preorder. A forest grows its trees in lockstep, one node of each tree
-per step, each tree with its own stream, and scores them with whole
-bootstrap counts (see _count_scores). Prediction routes rows through
-flat node arrays, all trees of a forest in one pass.
+per step, each tree with its own stream, on the forest's class axis
+(see fit_forest). Prediction routes rows through flat node arrays, all
+trees of a forest in one pass.
 """
 
 from __future__ import annotations
@@ -374,22 +374,19 @@ class _Grower:
     A[f] lists its rows in ascending order of feature f.
     """
 
-    def __init__(self, XT, y_idx, w, n_classes, params: GrowParams,
-                 counts=False):
+    def __init__(self, XT, y_idx, w, n_classes, params: GrowParams):
         """XT holds the features of the rows as (features, rows)."""
         n = XT.shape[1]
         self.n = n
         self.XT = np.ascontiguousarray(XT, dtype=np.float64)
         # row n (class 0) weighs nothing: padded positions read it
         self.y = np.append(y_idx, 0)
-        self.counts = counts  # every weight is a whole count
         self.K = n_classes
         self.p = params
         self.w = np.append(w, 0.0)
-        if not counts:  # _count_scores builds its own
-            # onehot[c, i]: row i's weight if it has class c, else 0
-            self.onehot = np.zeros((n_classes, n + 1), dtype=np.float64)
-            self.onehot[y_idx, np.arange(n)] = w
+        # onehot[c, i]: row i's weight if it has class c, else 0
+        self.onehot = np.zeros((n_classes, n + 1), dtype=np.float64)
+        self.onehot[y_idx, np.arange(n)] = w
         self.A = np.empty_like(self.XT, dtype=np.int64)
         self.scratch = np.empty(n, dtype=np.int64)
         # per node, in creation order (children after their parent)
@@ -441,11 +438,10 @@ class _Grower:
         Nodes go largest first and a batch pads every node to its first
         node's size. A batch closes before its padding would cost more
         than _PAD_WORK, or its padded rows would pass _STEP_ROWS. A
-        padded (row x candidate feature) cell costs one class mass per
-        class in _mass_scores and about one in _count_scores.
+        padded (row x candidate feature) cell costs one mass per class.
         """
         nodes = sorted(nodes, key=self.size.__getitem__, reverse=True)
-        cell = m * (1 if self.counts else self.K)
+        cell = m * self.K
         chunk, waste = [], 0
         for v in nodes:
             if chunk:
@@ -509,9 +505,7 @@ class _Grower:
             found = self._best_multiway(vals, self.onehot[:, wsub],
                                         self.w[wsub].cumsum(axis=1), N)
         else:
-            score = (self._count_scores(wsub) if self.counts
-                     else self._mass_scores(wsub))
-            found = self._best_binary(vals, score, N)
+            found = self._best_binary(vals, self._mass_scores(wsub), N)
         split, win, thresholds, ends, n_thr = found
         if not split.all():
             idx = np.flatnonzero(split)
@@ -574,45 +568,15 @@ class _Grower:
             np.add(gini[0, :, :-1], gini[1, :, :-1], out=score[r:r + tile])
         return score
 
-    def _count_scores(self, sub):
-        """_mass_scores for weights that are whole counts.
-
-        With whole counts every mass, and every sum of products of
-        masses, is an integer that float64 holds exactly, so sums may be
-        taken in any order: np.einsum's give the same numbers as np.sum's,
-        and the same scores to the bit.
-        """
-        B, n = sub.shape
-        k = self.w[sub]
-        # left[c, r, i]: class c's mass in the first i + 1 rows of row r
-        left = np.zeros((self.K, B, n), dtype=np.float64)
-        left[self.y[sub], np.arange(B)[:, None], np.arange(n)] = k
-        left.cumsum(axis=-1, out=left)
-        # [0]: left of each cut, [1]: right of it
-        s = np.empty((2, B, n), dtype=np.float64)
-        sq = np.empty((2, B, n), dtype=np.float64)
-        np.cumsum(k, axis=1, out=s[0])
-        np.subtract(s[0, :, -1:], s[0], out=s[1])
-        np.einsum("crn,crn->rn", left, left, out=sq[0])
-        # right: sum_c (T_c - L_c)^2 = sum_c T_c^2 - 2 T.L + sum_c L_c^2
-        np.einsum("cr,crn->rn", left[:, :, -1], left, out=sq[1])
-        sq[1] *= -2
-        sq[1] += sq[0]
-        sq[1] += sq[0, :, -1:]
-        gini = s * s
-        gini -= sq
-        np.divide(gini, s, out=gini, where=s > 0)
-        return gini[0, :, :-1] + gini[1, :, :-1]
-
     @staticmethod
     def _best_binary(vals, score, N):
         """Best single threshold of each of N nodes over its features.
 
-        vals and score (from _mass_scores or _count_scores) hold each
-        node's m candidate features as m consecutive rows. Returns per
-        node: whether it splits, its winning row, its threshold and the
-        number of rows at or below it in that row (both as 1-column
-        arrays), and its threshold count.
+        vals and score (from _mass_scores) hold each node's m candidate
+        features as m consecutive rows. Returns per node: whether it
+        splits, its winning row, its threshold and the number of rows at
+        or below it in that row (both as 1-column arrays), and its
+        threshold count.
         """
         B, n = vals.shape
         score[vals[:, 1:] == vals[:, :-1]] = np.inf
@@ -775,7 +739,7 @@ def fit_forest(ds, w, n_trees, max_depth, min_leaf_weight, subset_size,
     )
     grower = _Grower(np.take(ds.features.T, rows, axis=1), y_idx[rows],
                      np.concatenate(counts).astype(np.float64),
-                     len(class_ids), params, counts=True)
+                     len(class_ids), params)
     ends = np.cumsum([p.size for p in picked])
     roots = grower.grow(list(zip(ends - [p.size for p in picked], ends)), prngs)
     nodes = grower.nodes(class_ids)
