@@ -13,7 +13,9 @@ from ..numerics import (
     silverman_bandwidth,
 )
 
-_BLOCK = 256
+# (query x sample x feature) kernel cells a kernel-NB block scores at
+# once; each of its three scratch buffers holds this many float64s
+_BLOCK_CELLS = 1 << 16
 
 
 def _class_partition(ds, w):
@@ -102,22 +104,54 @@ class KernelNbModel:
         return self.bandwidths.shape[1]
 
     def predict_batch(self, X) -> np.ndarray:
+        return self.class_ids[self.log_scores(X).argmax(axis=1)]
+
+    def log_scores(self, X) -> np.ndarray:
+        """(q, K) log prior plus summed log likelihood of each query.
+
+        Queries are scored a block at a time. A block is tiled once
+        across the largest class, and each class runs the kernel ops in
+        place on contiguous (rows, n_c * d) views of two scratch
+        buffers, in the order of the plain expression
+        log(max(sum_j w_j exp((-0.5 z) z) / (h sqrt(2 pi)), floor)),
+        z = (x - x_j) / h. The weighted sum adds the samples in order,
+        so a score does not depend on the block size.
+        """
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for start in range(0, X.shape[0], _BLOCK):
-            q = X[start:start + _BLOCK]
-            scores = np.empty((q.shape[0], len(self.class_ids)))
-            for c in range(len(self.class_ids)):
-                h = self.bandwidths[c]
-                z = (q[:, None, :] - self.samples[c][None, :, :]) / h
-                dens = np.einsum(
-                    "qnd,n->qd", np.exp(-0.5 * z * z), self.sample_weights[c]
-                ) / (h * np.sqrt(2.0 * np.pi))
-                scores[:, c] = np.log(self.priors[c]) + np.log(
-                    np.maximum(dens, LIKELIHOOD_FLOOR)
-                ).sum(axis=1)
-            out[start:start + _BLOCK] = self.class_ids[scores.argmax(axis=1)]
-        return out
+        d = self.n_features
+        sizes = [s.shape[0] for s in self.samples]
+        cells = max(sizes) * d
+        block = max(1, min(X.shape[0], _BLOCK_CELLS // cells))
+        tiled = np.empty((block, cells))
+        z_buf = np.empty(block * cells)
+        k_buf = np.empty(block * cells)
+        dens_buf = np.empty((block, len(sizes), d))
+        flat = [s.ravel() for s in self.samples]
+        h_rows = [np.tile(h, n) for h, n in zip(self.bandwidths, sizes)]
+        norms = self.bandwidths * np.sqrt(2.0 * np.pi)
+        log_priors = np.log(self.priors)
+        scores = np.empty((X.shape[0], len(self.class_ids)))
+        for start in range(0, X.shape[0], block):
+            q = X[start:start + block]
+            r = q.shape[0]
+            tiled[:r].reshape(r, -1, d)[...] = q[:, None, :]
+            dens = dens_buf[:r]
+            for c, n in enumerate(sizes):
+                m = n * d
+                z = z_buf[:r * m].reshape(r, m)
+                k = k_buf[:r * m].reshape(r, m)
+                np.subtract(tiled[:r, :m], flat[c], out=z)
+                np.divide(z, h_rows[c], out=z)
+                np.multiply(z, -0.5, out=k)
+                np.multiply(k, z, out=k)
+                np.exp(k, out=k)
+                np.einsum("qnd,n->qd", k.reshape(r, n, d),
+                          self.sample_weights[c], out=dens[:, c])
+            np.divide(dens, norms, out=dens)
+            np.maximum(dens, LIKELIHOOD_FLOOR, out=dens)
+            np.log(dens, out=dens)
+            scores[start:start + r] = log_priors + dens.sum(axis=2)
+        return scores
 
     def to_payload(self) -> dict:
         return {
@@ -149,8 +183,7 @@ def fit_kernel_nb(ds, w) -> KernelNbModel:
         cw = w[rows]
         samples.append(np.array(ds.features[rows]))
         sample_weights.append(cw / cw.sum())
-        for f in range(ds.n_features):
-            bandwidths[i, f] = silverman_bandwidth(ds.features[rows, f], cw)
+        bandwidths[i] = silverman_bandwidth(samples[-1], cw)
     return KernelNbModel(
         class_ids, priors, tuple(samples), tuple(sample_weights), bandwidths
     )

@@ -4,11 +4,12 @@ Both families regress one-hot class indicators on [1, x] by weighted
 ridge least squares: C = (Z^T W Z + ridge I')^-1 Z^T W Y, where I' is
 the identity with the intercept entry zeroed. Leaving the intercept
 unpenalized keeps zero-variance feature columns at (numerically) zero
-coefficient instead of letting them absorb intercept mass. The "ovr"
-variant solves the K indicator columns one at a time, the "vector"
-variant in a single multi-column solve; the normal equations are the
-same, so the two coefficient matrices agree. Prediction is the argmax
-of the K fitted scores, lower class id on ties.
+coefficient instead of letting them absorb intercept mass. Both factor
+the system once; the "ovr" variant then solves the K indicator columns
+one at a time, the "vector" variant all of them in one multi-column
+solve. The normal equations are the same, so the two coefficient
+matrices agree. Prediction is the argmax of the K fitted scores, lower
+class id on ties.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import auto_ridge, solve_spd
+from ..numerics import auto_ridge, cholesky_factor, solve_lower, solve_lower_t
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,13 @@ def fit_linear(ds, w, ridge: float | None, joint: bool) -> LinearScoreModel:
     a[0, 0] -= r  # intercept stays unpenalized
     y = (ds.labels[:, None] == class_ids[None, :]).astype(np.float64)
     b = wz.T @ y
+    L = cholesky_factor(a)
     if joint:
-        coef = solve_spd(a, b)
+        coef = solve_lower_t(L, solve_lower(L, b))
     else:
-        coef = np.column_stack([solve_spd(a, b[:, k]) for k in range(b.shape[1])])
+        coef = np.column_stack(
+            [solve_lower_t(L, solve_lower(L, col)) for col in b.T]
+        )
     return LinearScoreModel(
         class_ids, coef, "vector-linear-regression" if joint else "linear-regression"
     )

@@ -130,17 +130,21 @@ def gaussian_logpdf(x, mean, var):
     return -0.5 * (np.log(2.0 * math.pi * var) + (np.asarray(x) - mean) ** 2 / var)
 
 
-def silverman_bandwidth(xs, w) -> float:
+def silverman_bandwidth(xs, w) -> np.ndarray:
     """Silverman's rule on weighted samples: 1.06 * sigma_w * N_eff^(-1/5).
 
     N_eff = (sum w)^2 / sum(w^2) is the effective sample size and sigma_w
-    the weighted standard deviation. Result is floored at BANDWIDTH_FLOOR.
+    the weighted standard deviation of a column of the (n, d) sample
+    matrix xs. Returns one bandwidth per column, each floored at
+    BANDWIDTH_FLOOR.
     """
     xs = np.asarray(xs, dtype=np.float64)
     w = check_weights(w, xs.shape[0])
     total = w.sum()
-    mu = (w @ xs) / total
-    var = (w @ (xs - mu) ** 2) / total
     n_eff = total * total / (w @ w)
-    h = 1.06 * math.sqrt(var) * n_eff ** -0.2
-    return max(h, BANDWIDTH_FLOOR)
+    h = np.empty(xs.shape[1])
+    for f, col in enumerate(np.ascontiguousarray(xs.T)):
+        mu = (w @ col) / total
+        var = (w @ (col - mu) ** 2) / total
+        h[f] = max(1.06 * math.sqrt(var) * n_eff ** -0.2, BANDWIDTH_FLOOR)
+    return h

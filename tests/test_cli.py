@@ -329,9 +329,12 @@ def test_save_load_predict_equals_in_memory(capsys, tiny_csv, tmp_path):
         (lambda doc: doc["rounds"][0].update(epsilon=None),
          "not a JSON number"),
         (lambda doc: doc["base_spec"].update(k=3.5), "not a JSON integer"),
+        # unsorted class ids raised IndexError in predict (exit 4)
+        (lambda doc: doc["class_ids"].reverse(), "not strictly increasing"),
     ],
     ids=["no-rounds", "short-class-ids", "rounds-int", "round-str",
-         "model-int", "alpha-str", "epsilon-null", "k-float"],
+         "model-int", "alpha-str", "epsilon-null", "k-float",
+         "class-ids-unsorted"],
 )
 def test_predict_malformed_model_exit_3(capsys, tiny_csv, tmp_path, edit,
                                         message):
@@ -371,3 +374,40 @@ def test_predict_malformed_tree_exit_3(capsys, tiny_csv, tmp_path, root):
     assert code == 3
     assert stdout == ""
     assert "round 1" in stderr
+
+
+@pytest.mark.parametrize(
+    "learner,edit,message",
+    [
+        ("naive-bayes",
+         lambda m: m.update(means=[row[:-1] for row in m["means"]]),
+         "means has shape"),
+        ("kernel-naive-bayes",
+         lambda m: m.update(bandwidths=[row[:-1] for row in m["bandwidths"]]),
+         "bandwidths has shape"),
+        ("kernel-naive-bayes", lambda m: m["bandwidths"][0].__setitem__(3, 0),
+         "bandwidths holds 0.0, expected finite values above 0"),
+        ("kernel-naive-bayes", lambda m: m["sample_weights"][0].pop(),
+         "sample_weights[0] has shape"),
+        ("linear-regression",
+         lambda m: m.update(coef=[row[:-1] for row in m["coef"]]),
+         "coef has shape"),
+    ],
+    ids=["nb-means", "knb-bandwidths", "knb-zero-bandwidth",
+         "knb-sample-weights", "linreg-class-column"],
+)
+def test_predict_malformed_array_payload_exit_3(capsys, tiny_csv, tmp_path,
+                                                learner, edit, message):
+    # these loaded, then exited 2 on a broadcast error or, for the
+    # dropped class column, exited 0 with wrong labels
+    model = tmp_path / "m.json"
+    run(capsys, ["train", "--from-csv", tiny_csv, "--learner", learner,
+                 "--rounds", "1", "--model-out", str(model)])
+    doc = json.loads(model.read_text())
+    edit(doc["rounds"][0]["model"])
+    model.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, ["predict", "--model", str(model),
+                                        "--from-csv", tiny_csv])
+    assert code == 3
+    assert stdout == ""
+    assert f"round 1: {message}" in stderr

@@ -129,6 +129,17 @@ def test_class_ids_must_match_num_classes(tmp_path, class_ids):
         load_model(path)
 
 
+@pytest.mark.parametrize("class_ids", [[4, 3, 2, 1], [1, 2, 2, 3]])
+def test_class_ids_must_increase(tmp_path, class_ids):
+    # unsorted ids loaded, then predict raised IndexError (exit 4)
+    path = _naive_bayes_file(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["class_ids"] = class_ids
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="not strictly increasing"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_alpha_rejected(tmp_path, alpha):
     path = _naive_bayes_file(tmp_path)
@@ -176,6 +187,117 @@ def test_wrong_value_types_rejected(tmp_path, edit, message):
     edit(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
+def _family_file(tmp_path, family, **kwargs):
+    """A saved two-round model of 4 classes and 3 features."""
+    ds = make_activity_dataset(60, 4, 3, seed=37, spread=0.5)
+    ens = boost_fit(LearnerSpec(family, **kwargs), ds, rounds=2, seed=0)
+    path = tmp_path / "m.json"
+    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    return path
+
+
+def _drop_last(rows):
+    return [row[:-1] for row in rows]
+
+
+# each of these loaded; predict then exited 2 on a broadcast error, or
+# exited 0 with wrong labels (a linear-regression class column dropped)
+@pytest.mark.parametrize(
+    "family,edit,message",
+    [
+        (Family.NAIVE_BAYES, lambda m: m.update(means=_drop_last(m["means"])),
+         r"means has shape \(4, 2\), expected \(4, 3\)"),
+        (Family.NAIVE_BAYES, lambda m: m.update(variances=m["variances"][:3]),
+         r"variances has shape \(3, 3\), expected \(4, 3\)"),
+        (Family.NAIVE_BAYES, lambda m: m.update(priors=[0.5, 0.5, 0.0, 0.0]),
+         "priors holds 0.0, expected finite values above 0"),
+        (Family.KERNEL_NAIVE_BAYES,
+         lambda m: m.update(bandwidths=_drop_last(m["bandwidths"])),
+         r"bandwidths has shape \(4, 2\), expected \(4, 3\)"),
+        (Family.KERNEL_NAIVE_BAYES,
+         lambda m: m["bandwidths"][2].__setitem__(1, 0.0),
+         "bandwidths holds 0.0, expected finite values above 0"),
+        (Family.KERNEL_NAIVE_BAYES,
+         lambda m: m["bandwidths"][0].__setitem__(0, -0.25),
+         "bandwidths holds -0.25, expected finite values above 0"),
+        (Family.KERNEL_NAIVE_BAYES,
+         lambda m: m["bandwidths"][3].__setitem__(2, float("inf")),
+         "bandwidths holds inf, expected finite values above 0"),
+        (Family.KERNEL_NAIVE_BAYES,
+         lambda m: m["sample_weights"][1].pop(),
+         r"sample_weights\[1\] has shape \(\d+,\), expected \(\d+,\)"),
+        (Family.KERNEL_NAIVE_BAYES,
+         lambda m: m["samples"].__setitem__(0, _drop_last(m["samples"][0])),
+         r"samples\[0\] has shape \(\d+, 2\), expected \(\d+, 3\)"),
+        (Family.KERNEL_NAIVE_BAYES,
+         lambda m: m["samples"].__setitem__(2, []),
+         r"samples\[2\] has shape \(0,\), expected \(rows >= 1, 3\)"),
+        (Family.KERNEL_NAIVE_BAYES, lambda m: m["samples"].pop(),
+         "3 samples for 4 class_ids"),
+        (Family.KERNEL_NAIVE_BAYES, lambda m: m["sample_weights"].pop(),
+         "3 sample_weights for 4 class_ids"),
+        (Family.LINEAR_REGRESSION_OVR,
+         lambda m: m.update(coef=_drop_last(m["coef"])),
+         r"coef has shape \(4, 3\), expected \(4, 4\)"),
+        (Family.LINEAR_REGRESSION_OVR, lambda m: m.update(coef=m["coef"][:3]),
+         r"coef has shape \(3, 4\), expected \(4, 4\)"),
+        (Family.VECTOR_LINEAR_REGRESSION,
+         lambda m: m["coef"][1].__setitem__(0, "1.5"), "coef is not numeric"),
+        (Family.LDA, lambda m: m.update(coef=m["coef"][:2]),
+         r"coef has shape \(2, 4\), expected \(3, 4\)"),
+        (Family.LDA, lambda m: m.update(intercept=m["intercept"][:3]),
+         r"intercept has shape \(3,\), expected \(4,\)"),
+        (Family.QDA, lambda m: m["factors"].__setitem__(1, [[1.0]]),
+         r"factors\[1\] has shape \(1, 1\), expected \(3, 3\)"),
+        (Family.QDA, lambda m: m.update(log_dets=[0.0, float("nan"), 0, 0]),
+         "log_dets holds nan, expected finite values"),
+        (Family.QDA, lambda m: m["factors"][2][1].__setitem__(1, 0.0),
+         r"factors\[2\] diagonal holds 0.0, expected finite values above 0"),
+        (Family.KNN, lambda m: m.update(rows=_drop_last(m["rows"])),
+         r"rows has shape \(60, 2\), expected \(60, 3\)"),
+        (Family.KNN, lambda m: m.update(rows=m["rows"][:3], k=4,
+                                        labels=m["labels"][:3],
+                                        weights=m["weights"][:3]),
+         "3 labels and k=4 for 3 stored rows"),
+        (Family.KNN, lambda m: m["labels"].__setitem__(0, 12),
+         "a row label is not among class_ids"),
+        (Family.NAIVE_BAYES, lambda m: m.update(class_ids=[1, 2, 3, 9]),
+         r"model class_ids \[1, 2, 3, 9\] are not among the file's"),
+    ],
+    ids=["nb-means-column", "nb-variances-row", "nb-zero-prior",
+         "knb-bandwidths-column", "knb-zero-bandwidth",
+         "knb-negative-bandwidth", "knb-inf-bandwidth",
+         "knb-sample-weights-short", "knb-samples-column",
+         "knb-samples-empty", "knb-samples-class", "knb-weights-class",
+         "linreg-class-column", "linreg-feature-row", "vlinreg-str",
+         "lda-coef-row", "lda-intercept", "qda-factor", "qda-nan-log-det",
+         "qda-zero-pivot",
+         "knn-rows-column", "knn-k-above-rows", "knn-label",
+         "foreign-class-ids"],
+)
+def test_malformed_array_payload_rejected(tmp_path, family, edit, message):
+    path = _family_file(tmp_path, family, k=4)
+    doc = json.loads(path.read_text())
+    if family is Family.KNN:  # edit the round's own copy of the rows
+        doc["rounds"][0]["model"]["rows"] = doc.pop("shared_knn_rows")
+        doc["shared_knn_rows"] = None
+        doc["rounds"] = doc["rounds"][:1]
+    edit(doc["rounds"][0]["model"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=f"round 1: {message}"):
+        load_model(path)
+
+
+def test_constant_label_must_be_a_class(tmp_path):
+    path = _naive_bayes_file(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["rounds"][0]["model"] = {"family": "constant", "label": 5,
+                                 "class_ids": [1, 2, 3, 4]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="label 5 is not among"):
         load_model(path)
 
 

@@ -139,7 +139,8 @@ def test_gaussian_logpdf_clamps_variance():
 
 
 def test_bandwidth_floor_on_single_point():
-    assert silverman_bandwidth([0.5], [1.0]) == BANDWIDTH_FLOOR
+    h = silverman_bandwidth([[0.5, -2.0]], [1.0])
+    assert h.tolist() == [BANDWIDTH_FLOOR] * 2
 
 
 def test_bandwidth_formula_oracle():
@@ -148,7 +149,9 @@ def test_bandwidth_formula_oracle():
     w = np.ones(200)
     sigma = xs.std()
     expected = 1.06 * sigma * 200 ** -0.2
-    assert silverman_bandwidth(xs, w) == pytest.approx(expected, rel=1e-12)
+    assert silverman_bandwidth(xs[:, None], w)[0] == pytest.approx(
+        expected, rel=1e-12
+    )
 
 
 def test_auto_ridge_scale():
