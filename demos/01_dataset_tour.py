@@ -15,7 +15,7 @@ from harboost import (
     select_features,
     summarize_by_activity,
 )
-from harboost.reports import render_summary_text
+from harboost.reports import render, summary_payload
 from harboost.synthetic import write_hapt_layout
 
 
@@ -45,7 +45,7 @@ def main():
     rows = summarize_by_activity(ds)
     print(f"\nper-activity summary ({len(rows)} rows; first activity shown):")
     first = rows[: ds.n_features]
-    print(render_summary_text(first))
+    print(render(summary_payload(first, {"command": "summarize"}, ds), "text"))
 
     if tmp:
         tmp.cleanup()

@@ -3,7 +3,7 @@ stratified folds, ranked by micro-average accuracy."""
 
 from harboost import Family, LearnerSpec, compare
 from harboost.dataset import dataset_digest
-from harboost.reports import render_comparison_text
+from harboost.reports import comparison_payload, render
 from harboost.synthetic import make_activity_dataset
 
 
@@ -14,7 +14,7 @@ def main():
     ]
     report = compare(specs, ds, folds=5, rounds=5, seed=99)
     config = {"folds": 5, "rounds": 5, "seed": 99, "learner": "all"}
-    print(render_comparison_text(report, config, ds))
+    print(render(comparison_payload(report, config, ds), "text"))
     print(f"(dataset digest {dataset_digest(ds)[:16]}..., shared folds)")
 
 

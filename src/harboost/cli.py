@@ -13,25 +13,26 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .boosting import boost_fit, boost_predict_batch
 from .dataset import (
-    BODY_ACC_FEATURES,
-    ActivityLabel,
     DataError,
     Dataset,
     dataset_digest,
+    load_body_acc,
     load_csv,
-    load_hapt,
-    require_finite,
+    load_feature_csv,
     save_csv,
-    select_features,
     summarize_by_activity,
 )
 from .evaluation import compare, cross_validate
-from .learners import DISPLAY_NAMES, Family, LearnerSpec
+from .learners import (
+    DISPLAY_NAMES,
+    HYPERPARAMETERS,
+    Family,
+    LearnerSpec,
+    value_type,
+)
 from .modelfile import ModelFormatError, load_model, save_model
 from . import reports
 
@@ -55,17 +56,10 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
         choices=sorted(f.value for f in Family),
         help="base learner family (default: knn)",
     )
-    p.add_argument("--k", type=int, default=12, help="k-NN neighbor count")
     p.add_argument("--rounds", type=int, default=10, help="boosting rounds")
-    p.add_argument("--seed", type=int, default=0, help="top-level seed")
-    p.add_argument("--max-depth", type=int, default=10)
-    p.add_argument("--min-leaf-weight", type=float, default=1e-4)
-    p.add_argument("--bins", type=int, default=4, help="multiway-tree intervals")
-    p.add_argument("--trees", type=int, default=10, help="forest size")
-    p.add_argument("--subset-size", type=int, default=None,
-                   help="random-tree feature subset (default ceil(sqrt(d)))")
-    p.add_argument("--ridge", type=float, default=None,
-                   help="regularization for regressions/discriminants")
+    for f in HYPERPARAMETERS:
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=value_type(f),
+                       default=f.default, help=f.metadata.get("help"))
 
 
 _THREADS_HELP = ("worker processes for fold evaluation, at most one per CPU "
@@ -144,23 +138,13 @@ def _resolve_dataset(args) -> tuple[Dataset, dict]:
         raise CliError(
             "no dataset: pass --data-dir, --from-csv, or set HAPT_DATA_DIR"
         )
-    ds = select_features(load_hapt(data_dir), BODY_ACC_FEATURES)
-    return ds, {"source": f"hapt:{data_dir}"}
+    return load_body_acc(data_dir), {"source": f"hapt:{data_dir}"}
 
 
 def _spec_from_args(args, family: Family | None = None) -> LearnerSpec:
     fam = family if family is not None else Family(args.learner)
-    return LearnerSpec(
-        family=fam,
-        k=args.k,
-        max_depth=args.max_depth,
-        min_leaf_weight=args.min_leaf_weight,
-        bins=args.bins,
-        trees=args.trees,
-        subset_size=args.subset_size,
-        ridge=args.ridge,
-        seed=args.seed,
-    )
+    return LearnerSpec(fam, **{f.name: getattr(args, f.name)
+                               for f in HYPERPARAMETERS})
 
 
 def _validate_run(args, spec: LearnerSpec, needs_folds: bool) -> None:
@@ -180,25 +164,15 @@ def _validate_run(args, spec: LearnerSpec, needs_folds: bool) -> None:
         raise CliError("invalid configuration:\n  " + "\n  ".join(problems))
 
 
-def _effective_config(args, spec: LearnerSpec, source: dict,
-                      needs_folds: bool) -> dict:
-    cfg = {
+def _effective_config(args, spec: LearnerSpec, source: dict) -> dict:
+    return {
+        **spec.hyperparameters(),
         "learner": spec.family.value,
-        "k": spec.k,
         "rounds": args.rounds,
-        "seed": args.seed,
-        "max_depth": spec.max_depth,
-        "min_leaf_weight": spec.min_leaf_weight,
-        "bins": spec.bins,
-        "trees": spec.trees,
-        "subset_size": spec.subset_size,
-        "ridge": spec.ridge,
+        "folds": args.folds,
+        "threads": args.threads,
         **source,
     }
-    if needs_folds:
-        cfg["folds"] = args.folds
-        cfg["threads"] = args.threads
-    return cfg
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -227,15 +201,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_summarize(args) -> int:
     ds, source = _resolve_dataset(args)
-    rows = summarize_by_activity(ds)
-    config = {"command": "summarize", **source}
-    if args.format == "json":
-        text = reports.to_json(reports.summary_payload(rows, config, ds))
-    elif args.format == "csv":
-        text = reports.render_summary_csv(rows)
-    else:
-        text = reports.render_summary_text(rows)
-    _emit(text, args.out)
+    payload = reports.summary_payload(
+        summarize_by_activity(ds), {"command": "summarize", **source}, ds)
+    _emit(reports.render(payload, args.format), args.out)
     return 0
 
 
@@ -243,18 +211,13 @@ def cmd_evaluate(args) -> int:
     ds, source = _resolve_dataset(args)
     spec = _spec_from_args(args)
     _validate_run(args, spec, needs_folds=True)
-    config = _effective_config(args, spec, source, needs_folds=True)
+    config = _effective_config(args, spec, source)
     result = cross_validate(
         spec, ds, folds=args.folds, rounds=args.rounds, seed=args.seed,
         threads=args.threads,
     )
-    if args.format == "json":
-        text = reports.to_json(reports.evaluation_payload(result, config, ds))
-    elif args.format == "csv":
-        text = reports.render_evaluation_csv(result, config, ds)
-    else:
-        text = reports.render_evaluation_text(result, config, ds)
-    _emit(text, args.out)
+    payload = reports.evaluation_payload(result, config, ds)
+    _emit(reports.render(payload, args.format), args.out)
     return 0
 
 
@@ -278,19 +241,14 @@ def cmd_compare(args) -> int:
     specs = [_spec_from_args(args, family=f) for f in families]
     for spec in specs:
         _validate_run(args, spec, needs_folds=True)
-    config = _effective_config(args, specs[0], source, needs_folds=True)
+    config = _effective_config(args, specs[0], source)
     config["learner"] = ",".join(f.value for f in families)
     report = compare(
         specs, ds, folds=args.folds, rounds=args.rounds, seed=args.seed,
         threads=args.threads, include_placeholders=include_placeholders,
     )
-    if args.format == "json":
-        text = reports.to_json(reports.comparison_payload(report, config, ds))
-    elif args.format == "csv":
-        text = reports.render_comparison_csv(report, config, ds)
-    else:
-        text = reports.render_comparison_text(report, config, ds)
-    _emit(text, args.out)
+    payload = reports.comparison_payload(report, config, ds)
+    _emit(reports.render(payload, args.format), args.out)
     return 0
 
 
@@ -311,63 +269,32 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_feature_csv(path, expected_names) -> np.ndarray:
-    """Feature matrix from a CSV whose columns must equal expected_names
-    (an ingested CSV's trailing label columns are ignored)."""
-    ds_names = None
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-    if header[-2:] == ["activity_id", "activity_name"]:
-        ds = load_csv(path)
-        ds_names, feats = list(ds.feature_names), ds.features
-    else:
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            fh.readline()
-            for ln, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cells = line.split(",")
-                if len(cells) != len(header):
-                    raise DataError(
-                        f"{path}: line {ln} has {len(cells)} cells, "
-                        f"expected {len(header)}"
-                    )
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError as e:
-                    raise DataError(f"{path}: line {ln}: {e}") from None
-        if not rows:
-            raise DataError(f"{path}: no data rows")
-        ds_names, feats = header, np.array(rows, dtype=np.float64)
-        require_finite(feats, f"{path}: ")
-    expected = list(expected_names)
-    if ds_names != expected:
-        missing = [n for n in expected if n not in ds_names]
-        extra = [n for n in ds_names if n not in expected]
-        detail = []
-        if missing:
-            detail.append(f"missing: {', '.join(missing)}")
-        if extra:
-            detail.append(f"unexpected: {', '.join(extra)}")
-        if not detail:
-            detail.append("column order differs")
-        raise CliError(
-            "input columns do not match the model's features "
-            f"({'; '.join(detail)})"
-        )
-    return feats
+def _check_columns(names, expected) -> None:
+    """Raise CliError unless the input columns equal the model's features."""
+    names, expected = list(names), list(expected)
+    if names == expected:
+        return
+    missing = [n for n in expected if n not in names]
+    extra = [n for n in names if n not in expected]
+    detail = []
+    if missing:
+        detail.append(f"missing: {', '.join(missing)}")
+    if extra:
+        detail.append(f"unexpected: {', '.join(extra)}")
+    if not detail:
+        detail.append("column order differs")
+    raise CliError(
+        "input columns do not match the model's features "
+        f"({'; '.join(detail)})"
+    )
 
 
 def cmd_predict(args) -> int:
     loaded = load_model(args.model)
-    feats = _read_feature_csv(args.from_csv, loaded.feature_names)
+    names, feats = load_feature_csv(args.from_csv)
+    _check_columns(names, loaded.feature_names)
     pred = boost_predict_batch(loaded.ensemble, feats)
-    lines = ["row,activity_id,activity_name"]
-    for i, p in enumerate(pred):
-        lines.append(f"{i},{int(p)},{ActivityLabel(int(p)).name}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(reports.predictions_csv(pred), args.out)
     return 0
 
 
@@ -376,16 +303,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (DataError, ModelFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (CliError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

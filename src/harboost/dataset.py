@@ -401,18 +401,21 @@ def save_csv(ds: Dataset, path) -> None:
             fh.write("\n")
 
 
-def load_csv(path) -> Dataset:
-    """Read a CSV produced by save_csv (or any file with that layout)."""
+def _read_csv(path, require_labels: bool):
+    """(feature matrix, activity ids or None, feature names) of a CSV
+    with or without save_csv's trailing activity_id,activity_name
+    columns, which require_labels makes mandatory."""
     path = Path(path)
     _require(path)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        cols = header.split(",")
-        if len(cols) < 3 or cols[-2:] != ["activity_id", "activity_name"]:
+        cols = fh.readline().rstrip("\n").split(",")
+        has_labels = len(cols) >= 3 and cols[-2:] == ["activity_id",
+                                                      "activity_name"]
+        if require_labels and not has_labels:
             raise DataError(
                 f"{path}: header must end with 'activity_id,activity_name'"
             )
-        names = cols[:-2]
+        d = len(cols) - 2 if has_labels else len(cols)
         feats, labels = [], []
         for ln, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -424,9 +427,9 @@ def load_csv(path) -> Dataset:
                     f"{path}: line {ln} has {len(cells)} cells, expected {len(cols)}"
                 )
             try:
-                feats.append([float(c) for c in cells[: len(names)]])
+                feats.append([float(c) for c in cells[:d]])
             except ValueError:
-                for col, c in enumerate(cells[: len(names)], start=1):
+                for col, c in enumerate(cells[:d], start=1):
                     try:
                         float(c)
                     except ValueError:
@@ -435,15 +438,32 @@ def load_csv(path) -> Dataset:
                             f"cannot parse {c!r} as a number"
                         ) from None
                 raise
-            try:
-                labels.append(int(cells[len(names)]))
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {ln}: bad activity_id {cells[len(names)]!r}"
-                ) from None
+            if has_labels:
+                try:
+                    labels.append(int(cells[d]))
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {ln}: bad activity_id {cells[d]!r}"
+                    ) from None
     if not feats:
         raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(feats), np.array(labels), tuple(names))
+    feats = np.array(feats, dtype=np.float64)
+    require_finite(feats, f"{path}: ")
+    return feats, np.array(labels) if has_labels else None, tuple(cols[:d])
+
+
+def load_csv(path) -> Dataset:
+    """Read a CSV produced by save_csv (or any file with that layout)."""
+    return Dataset(*_read_csv(path, require_labels=True))
+
+
+def load_feature_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Feature names and matrix of a CSV with or without save_csv's label
+    columns; the labels of a labeled file are checked, then dropped."""
+    feats, labels, names = _read_csv(path, require_labels=False)
+    if labels is not None:
+        Dataset(feats, labels, names)
+    return names, feats
 
 
 # ---------------------------------------------------------------------------

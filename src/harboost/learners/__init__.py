@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,18 +61,22 @@ class LearnerSpec:
 
     Fields not used by a family are ignored by it. subset_size=None
     means ceil(sqrt(d)) at fit time; ridge=None means the scale-aware
-    default from the numerics module.
+    default from the numerics module. Every field after family is also
+    a command-line flag (max_depth is --max-depth) with the field's
+    default, and metadata["help"] as its help text.
     """
 
     family: Family
-    k: int = 12
+    k: int = field(default=12, metadata={"help": "k-NN neighbor count"})
     max_depth: int = 10
     min_leaf_weight: float = 1e-4
-    bins: int = 4
-    trees: int = 10
-    subset_size: int | None = None
-    ridge: float | None = None
-    seed: int = 0
+    bins: int = field(default=4, metadata={"help": "multiway-tree intervals"})
+    trees: int = field(default=10, metadata={"help": "forest size"})
+    subset_size: int | None = field(default=None, metadata={
+        "help": "random-tree feature subset (default ceil(sqrt(d)))"})
+    ridge: float | None = field(default=None, metadata={
+        "help": "regularization for regressions/discriminants"})
+    seed: int = field(default=0, metadata={"help": "top-level seed"})
 
     def validate(self, n_features: int | None = None) -> None:
         problems = []
@@ -146,32 +150,28 @@ class LearnerSpec:
             return self.subset_size
         return math.isqrt(ds.n_features - 1) + 1 if ds.n_features > 1 else 1
 
+    def hyperparameters(self) -> dict:
+        """Every field but family, by name."""
+        return {f.name: getattr(self, f.name) for f in HYPERPARAMETERS}
+
     def to_payload(self) -> dict:
-        return {
-            "family": self.family.value,
-            "k": self.k,
-            "max_depth": self.max_depth,
-            "min_leaf_weight": self.min_leaf_weight,
-            "bins": self.bins,
-            "trees": self.trees,
-            "subset_size": self.subset_size,
-            "ridge": self.ridge,
-            "seed": self.seed,
-        }
+        return {"family": self.family.value, **self.hyperparameters()}
+
+
+#: The LearnerSpec fields after family, in declaration order.
+HYPERPARAMETERS = fields(LearnerSpec)[1:]
+
+
+def value_type(f) -> type:
+    """int or float: the type a hyperparameter field holds when set."""
+    return float if f.type.startswith("float") else int
 
 
 def spec_from_payload(p: dict) -> LearnerSpec:
-    return LearnerSpec(
-        family=Family(p["family"]),
-        k=int(p["k"]),
-        max_depth=int(p["max_depth"]),
-        min_leaf_weight=float(p["min_leaf_weight"]),
-        bins=int(p["bins"]),
-        trees=int(p["trees"]),
-        subset_size=None if p["subset_size"] is None else int(p["subset_size"]),
-        ridge=None if p["ridge"] is None else float(p["ridge"]),
-        seed=int(p["seed"]),
-    )
+    return LearnerSpec(Family(p["family"]), **{
+        f.name: None if p[f.name] is None else value_type(f)(p[f.name])
+        for f in HYPERPARAMETERS
+    })
 
 
 def fit(spec: LearnerSpec, ds: Dataset, w=None):
@@ -219,9 +219,11 @@ __all__ = [
     "ConstantLearner",
     "DISPLAY_NAMES",
     "Family",
+    "HYPERPARAMETERS",
     "LearnerSpec",
     "fit",
     "model_from_payload",
     "predict",
     "spec_from_payload",
+    "value_type",
 ]

@@ -58,7 +58,7 @@ def model_from_payload(p: dict) -> KnnModel:
         rows=_frozen(np.asarray(p["rows"], dtype=np.float64)),
         labels=_frozen(np.asarray(p["labels"], dtype=np.int64)),
         weights=_frozen(np.asarray(p["weights"], dtype=np.float64)),
-        k=int(p["k"]),
+        k=p["k"],
         class_ids=np.array(p["class_ids"], dtype=np.int64),
     )
 

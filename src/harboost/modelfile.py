@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .boosting import BoostedEnsemble, BoostRound
-from .learners import LearnerSpec, model_from_payload, spec_from_payload
+from .learners import (
+    HYPERPARAMETERS,
+    LearnerSpec,
+    model_from_payload,
+    spec_from_payload,
+    value_type,
+)
 from .learners.bayes import GaussianNbModel, KernelNbModel
 from .learners.constant import ConstantModel
 from .learners.discriminant import LdaModel, QdaModel
@@ -32,8 +38,6 @@ _DOC_KEYS = ("base_spec", "num_classes", "class_ids", "rounds_requested",
              "seed", "rounds", "feature_names", "metadata")
 _ROUND_KEYS = ("alpha", "epsilon", "model")
 _METADATA_KEYS = ("n_rows", "dataset_digest")
-_SPEC_INTS = ("k", "max_depth", "bins", "trees", "seed")
-_SPEC_KEYS = ("family", "min_leaf_weight", "subset_size", "ridge") + _SPEC_INTS
 
 
 class ModelFormatError(Exception):
@@ -106,14 +110,11 @@ def _require_type(value, kind: str, where: str):
 
 
 def _check_spec(p, where: str) -> None:
-    _require_keys(p, _SPEC_KEYS, where)
-    for key in _SPEC_INTS:
-        _require_type(p[key], "integer", f"{where}: {key}")
-    _require_type(p["min_leaf_weight"], "number", f"{where}: min_leaf_weight")
-    if p["subset_size"] is not None:
-        _require_type(p["subset_size"], "integer", f"{where}: subset_size")
-    if p["ridge"] is not None:
-        _require_type(p["ridge"], "number", f"{where}: ridge")
+    _require_keys(p, ["family", *(f.name for f in HYPERPARAMETERS)], where)
+    for f in HYPERPARAMETERS:  # a field that defaults to None may be null
+        if p[f.name] is not None or f.default is not None:
+            kind = "number" if value_type(f) is float else "integer"
+            _require_type(p[f.name], kind, f"{where}: {f.name}")
 
 
 def _check_arrays(model, d: int, where: str) -> None:
@@ -258,10 +259,13 @@ def load_model(path) -> LoadedModel:
             raise ModelFormatError(f"{where}: non-finite alpha {alpha}")
         payload = r["model"]
         _require_keys(payload, ("family",), f"{where}: model")
-        if payload.get("family") == "knn" and isinstance(payload.get("rows"), str):
-            if payload["rows"] != "shared" or shared is None:
-                raise ModelFormatError(f"{path}: dangling shared-rows reference")
-            payload = {**payload, "rows": shared}
+        if payload["family"] == "knn":
+            _require_type(payload.get("k"), "integer", f"{where}: model: k")
+            if isinstance(payload.get("rows"), str):
+                if payload["rows"] != "shared" or shared is None:
+                    raise ModelFormatError(
+                        f"{path}: dangling shared-rows reference")
+                payload = {**payload, "rows": shared}
         try:
             model = model_from_payload(payload)
         except (ValueError, TypeError, KeyError) as e:

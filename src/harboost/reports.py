@@ -1,4 +1,10 @@
-"""Text, JSON, and CSV rendering for evaluation and comparison results.
+"""Report payloads and their text, CSV and JSON renderings.
+
+Each command's report is built once, as a payload dict
+(evaluation_payload, comparison_payload, summary_payload), and
+render(payload, fmt) turns that one dict into any of the three formats,
+so text, CSV and JSON always carry the same numbers. predictions_csv
+writes the rows `harboost predict` emits.
 
 JSON reports are schema-stable ("harboost.report.v1"): existing keys are
 never renamed, new keys may appear. Serialization is canonical (sorted
@@ -10,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .dataset import ActivitySummary, Dataset, dataset_digest
+from .dataset import ActivityLabel, ActivitySummary, Dataset, dataset_digest
 from .evaluation import (
     ComparisonReport,
     ConfusionMatrix,
@@ -22,6 +28,8 @@ from .evaluation import (
 SCHEMA = "harboost.report.v1"
 _HEAT_LEVELS = " .:-=+*#%@"
 _UNDEFINED = "—"
+_ACCURACIES = ("mean_accuracy", "std_accuracy", "micro_accuracy")
+_SUMMARY_STATS = ("mean", "std", "median_abs_dev", "max", "min")
 
 
 def pct(x: float | None, digits: int = 2) -> str:
@@ -56,239 +64,211 @@ def _align(table: list[list[str]], right_from: int = 1) -> str:
     return "\n".join(lines)
 
 
-def render_matrix_text(cm: ConfusionMatrix) -> str:
-    """Count matrix with a class-precision column and class-recall row."""
-    names = [l.name for l in cm.labels]
-    head = [""] + [f"true {n}" for n in names] + ["class precision"]
-    table = [head]
-    for i, n in enumerate(names):
-        row = [f"pred {n}"]
-        row += [str(int(v)) for v in cm.counts[i]]
-        row.append(pct(class_precision(cm, cm.labels[i])))
-        table.append(row)
-    recall = ["class recall"]
-    recall += [pct(class_recall(cm, l)) for l in cm.labels]
-    recall.append("")
-    table.append(recall)
-    return _align(table)
+def _csv(table: list[list[str]]) -> str:
+    return "\n".join(",".join(row) for row in table)
 
 
-def render_heatmap(cm: ConfusionMatrix) -> str:
-    """Plain-text intensity map of the count matrix (rows = predicted)."""
-    peak = max(int(cm.counts.max()), 1)
+def _confusion_block(cm: ConfusionMatrix) -> dict:
+    """The payload keys of a confusion matrix and its class margins."""
+    return {
+        "confusion": {
+            "order": [l.name for l in cm.labels],
+            "class_ids": [int(l) for l in cm.labels],
+            "counts": cm.counts.tolist(),
+        },
+        "precision": {l.name: class_precision(cm, l) for l in cm.labels},
+        "recall": {l.name: class_recall(cm, l) for l in cm.labels},
+    }
+
+
+def _matrix_table(block: dict) -> list[list[str]]:
+    """Cells of the count matrix, its precision column and recall row."""
+    names = block["confusion"]["order"]
+    table = [[""] + [f"true {n}" for n in names] + ["class precision"]]
+    for n, counts in zip(names, block["confusion"]["counts"]):
+        table.append([f"pred {n}", *(str(int(v)) for v in counts),
+                      pct(block["precision"][n])])
+    table.append(["class recall", *(pct(block["recall"][n]) for n in names), ""])
+    return table
+
+
+def _heatmap(block: dict) -> str:
+    counts = block["confusion"]["counts"]
+    peak = max(max(int(v) for row in counts for v in row), 1)
     lines = ["count heatmap (rows = predicted, columns = true):"]
-    for i, label in enumerate(cm.labels):
+    for name, row in zip(block["confusion"]["order"], counts):
         cells = []
-        for v in cm.counts[i]:
+        for v in row:
             level = 0 if v == 0 else 1 + int(
                 (len(_HEAT_LEVELS) - 2) * (int(v) / peak)
             )
             cells.append(_HEAT_LEVELS[min(level, len(_HEAT_LEVELS) - 1)])
-        lines.append(f"  {' '.join(cells)}  {label.name}")
+        lines.append(f"  {' '.join(cells)}  {name}")
     lines.append(f"  scale: ' ' = 0 .. '@' = {peak}")
     return "\n".join(lines)
 
 
-def _config_lines(config: dict) -> str:
-    return "\n".join(f"  {k}: {config[k]}" for k in sorted(config))
+def render_matrix_text(cm: ConfusionMatrix) -> str:
+    """Count matrix with a class-precision column and class-recall row."""
+    return _align(_matrix_table(_confusion_block(cm)))
+
+
+def render_heatmap(cm: ConfusionMatrix) -> str:
+    """Plain-text intensity map of the count matrix (rows = predicted)."""
+    return _heatmap(_confusion_block(cm))
 
 
 # ---------------------------------------------------------------------------
-# Evaluation report
+# Payloads
 # ---------------------------------------------------------------------------
+
+
+def _payload(command: str, config: dict, ds: Dataset, **body) -> dict:
+    return {"schema": SCHEMA, "command": command, "config": config,
+            "dataset": dataset_block(ds), **body}
 
 
 def evaluation_payload(result: CVResult, config: dict, ds: Dataset) -> dict:
-    cm = result.aggregate
-    return {
-        "schema": SCHEMA,
-        "command": "evaluate",
-        "config": config,
-        "dataset": dataset_block(ds),
-        "result": {
-            "headline": headline(result),
-            "mean_accuracy": result.mean_accuracy,
-            "std_accuracy": result.std_accuracy,
-            "micro_accuracy": result.micro_accuracy,
-            "fold_accuracies": list(result.fold_accuracies),
-            "confusion": {
-                "order": [l.name for l in cm.labels],
-                "class_ids": [int(l) for l in cm.labels],
-                "counts": cm.counts.tolist(),
-            },
-            "precision": {l.name: class_precision(cm, l) for l in cm.labels},
-            "recall": {l.name: class_recall(cm, l) for l in cm.labels},
-        },
-    }
+    return _payload("evaluate", config, ds, result={
+        "headline": headline(result),
+        **{k: getattr(result, k) for k in _ACCURACIES},
+        "fold_accuracies": list(result.fold_accuracies),
+        **_confusion_block(result.aggregate),
+    })
+
+
+def comparison_payload(report: ComparisonReport, config: dict, ds: Dataset) -> dict:
+    rows = [
+        {"name": row.name, "implemented": row.implemented,
+         **{k: getattr(row.result, k) if row.implemented else None
+            for k in _ACCURACIES}}
+        for row in report.rows
+    ]
+    return _payload("compare", config, ds, rows=rows)
+
+
+def summary_payload(rows: list[ActivitySummary], config: dict, ds: Dataset) -> dict:
+    return _payload("summarize", config, ds, rows=[
+        {"activity": r.activity.name, "activity_id": int(r.activity),
+         "feature": r.feature, **{k: getattr(r, k) for k in _SUMMARY_STATS}}
+        for r in rows
+    ])
+
+
+# ---------------------------------------------------------------------------
+# Rendering a payload
+# ---------------------------------------------------------------------------
 
 
 def to_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def render_evaluation_text(result: CVResult, config: dict, ds: Dataset) -> str:
-    parts = [
-        "boosted cross-validation report",
+def _header(title: str, p: dict) -> list[str]:
+    ds = p["dataset"]
+    return [
+        title,
         "configuration:",
-        _config_lines(config),
-        f"dataset: {ds.n_rows} rows, {ds.n_features} features, "
-        f"digest {dataset_digest(ds)}",
+        "\n".join(f"  {k}: {p['config'][k]}" for k in sorted(p["config"])),
+        f"dataset: {ds['rows']} rows, {ds['features']} features, "
+        f"digest {ds['digest']}",
         "",
-        headline(result),
-        "",
-        render_matrix_text(result.aggregate),
-        "",
-        render_heatmap(result.aggregate),
-        "",
-        "fold accuracies: " + ", ".join(pct(a) for a in result.fold_accuracies),
     ]
-    return "\n".join(parts) + "\n"
 
 
-def render_evaluation_csv(result: CVResult, config: dict, ds: Dataset) -> str:
-    cm = result.aggregate
-    names = [l.name for l in cm.labels]
-    lines = ["," + ",".join(f"true {n}" for n in names) + ",class precision"]
-    for i, n in enumerate(names):
-        cells = [f"pred {n}"]
-        cells += [str(int(v)) for v in cm.counts[i]]
-        cells.append(pct(class_precision(cm, cm.labels[i])))
-        lines.append(",".join(cells))
-    lines.append(
-        "class recall,"
-        + ",".join(pct(class_recall(cm, l)) for l in cm.labels)
-        + ","
-    )
-    lines.append("")
-    lines.append("metric,value")
-    lines.append(f"mean_accuracy,{result.mean_accuracy!r}")
-    lines.append(f"std_accuracy,{result.std_accuracy!r}")
-    lines.append(f"micro_accuracy,{result.micro_accuracy!r}")
-    for i, a in enumerate(result.fold_accuracies):
-        lines.append(f"fold_{i}_accuracy,{a!r}")
-    lines.append(f"dataset_digest,{dataset_digest(ds)}")
-    for k in sorted(config):
-        lines.append(f"config_{k},{config[k]}")
-    return "\n".join(lines) + "\n"
+def _metrics(p: dict, metrics: list[tuple[str, float]]) -> list[list[str]]:
+    """The metric,value block that closes a CSV report."""
+    rows = [["metric", "value"]]
+    rows += [[name, repr(v)] for name, v in metrics]
+    rows.append(["dataset_digest", p["dataset"]["digest"]])
+    rows += [[f"config_{k}", str(v)] for k, v in sorted(p["config"].items())]
+    return rows
 
 
-# ---------------------------------------------------------------------------
-# Comparison report
-# ---------------------------------------------------------------------------
+def _evaluation_text(p: dict) -> str:
+    r = p["result"]
+    return "\n".join([
+        *_header("boosted cross-validation report", p),
+        r["headline"],
+        "",
+        _align(_matrix_table(r)),
+        "",
+        _heatmap(r),
+        "",
+        "fold accuracies: " + ", ".join(pct(a) for a in r["fold_accuracies"]),
+    ])
 
 
-def comparison_payload(report: ComparisonReport, config: dict, ds: Dataset) -> dict:
-    rows = []
-    for row in report.rows:
-        if row.implemented:
-            rows.append({
-                "name": row.name,
-                "implemented": True,
-                "mean_accuracy": row.result.mean_accuracy,
-                "std_accuracy": row.result.std_accuracy,
-                "micro_accuracy": row.result.micro_accuracy,
-            })
-        else:
-            rows.append({
-                "name": row.name,
-                "implemented": False,
-                "mean_accuracy": None,
-                "std_accuracy": None,
-                "micro_accuracy": None,
-            })
-    return {
-        "schema": SCHEMA,
-        "command": "compare",
-        "config": config,
-        "dataset": dataset_block(ds),
-        "rows": rows,
-    }
+def _evaluation_csv(p: dict) -> str:
+    r = p["result"]
+    metrics = [(k, r[k]) for k in _ACCURACIES]
+    metrics += [(f"fold_{i}_accuracy", a)
+                for i, a in enumerate(r["fold_accuracies"])]
+    return _csv(_matrix_table(r) + [[]] + _metrics(p, metrics))
 
 
-def render_comparison_text(report: ComparisonReport, config: dict, ds: Dataset) -> str:
+def _comparison_text(p: dict) -> str:
     table = [["learner", "overall accuracy", "micro average"]]
-    for row in report.rows:
-        if row.implemented:
+    for row in p["rows"]:
+        if row["implemented"]:
             table.append([
-                row.name,
-                f"{pct(row.result.mean_accuracy)} +/- {pct(row.result.std_accuracy)}",
-                pct(row.result.micro_accuracy),
+                row["name"],
+                f"{pct(row['mean_accuracy'])} +/- {pct(row['std_accuracy'])}",
+                pct(row["micro_accuracy"]),
             ])
         else:
-            table.append([row.name, "not implemented", ""])
-    parts = [
-        "learner comparison (boosted, shared stratified folds)",
-        "configuration:",
-        _config_lines(config),
-        f"dataset: {ds.n_rows} rows, {ds.n_features} features, "
-        f"digest {dataset_digest(ds)}",
-        "",
-        _align(table),
-    ]
-    return "\n".join(parts) + "\n"
+            table.append([row["name"], "not implemented", ""])
+    return "\n".join(
+        [*_header("learner comparison (boosted, shared stratified folds)", p),
+         _align(table)]
+    )
 
 
-def render_comparison_csv(report: ComparisonReport, config: dict, ds: Dataset) -> str:
-    lines = ["learner,mean_accuracy,std_accuracy,micro_accuracy,implemented"]
-    for row in report.rows:
-        if row.implemented:
-            lines.append(
-                f"{row.name},{row.result.mean_accuracy!r},"
-                f"{row.result.std_accuracy!r},{row.result.micro_accuracy!r},true"
-            )
-        else:
-            lines.append(f"{row.name},,,,false")
-    lines.append("")
-    lines.append("metric,value")
-    lines.append(f"dataset_digest,{dataset_digest(ds)}")
-    for k in sorted(config):
-        lines.append(f"config_{k},{config[k]}")
-    return "\n".join(lines) + "\n"
+def _comparison_csv(p: dict) -> str:
+    table = [["learner", *_ACCURACIES, "implemented"]]
+    for row in p["rows"]:
+        done = row["implemented"]
+        table.append([row["name"],
+                      *(repr(row[k]) if done else "" for k in _ACCURACIES),
+                      "true" if done else "false"])
+    return _csv(table + [[]] + _metrics(p, []))
 
 
-# ---------------------------------------------------------------------------
-# Per-activity summaries
-# ---------------------------------------------------------------------------
-
-
-def summary_payload(rows: list[ActivitySummary], config: dict, ds: Dataset) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": "summarize",
-        "config": config,
-        "dataset": dataset_block(ds),
-        "rows": [
-            {
-                "activity": r.activity.name,
-                "activity_id": int(r.activity),
-                "feature": r.feature,
-                "mean": r.mean,
-                "std": r.std,
-                "median_abs_dev": r.median_abs_dev,
-                "max": r.max,
-                "min": r.min,
-            }
-            for r in rows
-        ],
-    }
-
-
-def render_summary_text(rows: list[ActivitySummary]) -> str:
+def _summary_text(p: dict) -> str:
     table = [["activity", "feature", "mean", "std", "mad", "max", "min"]]
-    for r in rows:
-        table.append([
-            r.activity.name, r.feature,
-            f"{r.mean:.6f}", f"{r.std:.6f}", f"{r.median_abs_dev:.6f}",
-            f"{r.max:.6f}", f"{r.min:.6f}",
-        ])
-    return _align(table, right_from=2) + "\n"
+    for r in p["rows"]:
+        table.append([r["activity"], r["feature"],
+                      *(f"{r[k]:.6f}" for k in _SUMMARY_STATS)])
+    return _align(table, right_from=2)
 
 
-def render_summary_csv(rows: list[ActivitySummary]) -> str:
-    lines = ["activity_id,activity,feature,mean,std,median_abs_dev,max,min"]
-    for r in rows:
-        lines.append(
-            f"{int(r.activity)},{r.activity.name},{r.feature},"
-            f"{r.mean!r},{r.std!r},{r.median_abs_dev!r},{r.max!r},{r.min!r}"
-        )
-    return "\n".join(lines) + "\n"
+def _summary_csv(p: dict) -> str:
+    table = [["activity_id", "activity", "feature", *_SUMMARY_STATS]]
+    for r in p["rows"]:
+        table.append([str(r["activity_id"]), r["activity"], r["feature"],
+                      *(repr(r[k]) for k in _SUMMARY_STATS)])
+    return _csv(table)
+
+
+_RENDERERS = {
+    ("evaluate", "text"): _evaluation_text,
+    ("evaluate", "csv"): _evaluation_csv,
+    ("compare", "text"): _comparison_text,
+    ("compare", "csv"): _comparison_csv,
+    ("summarize", "text"): _summary_text,
+    ("summarize", "csv"): _summary_csv,
+}
+
+
+def render(payload: dict, fmt: str) -> str:
+    """A report payload as fmt: "json", "text" or "csv"."""
+    if fmt == "json":
+        return to_json(payload)
+    return _RENDERERS[payload["command"], fmt](payload) + "\n"
+
+
+def predictions_csv(pred) -> str:
+    """The row,activity_id,activity_name CSV of predicted activity ids."""
+    return "row,activity_id,activity_name\n" + "".join(
+        f"{i},{int(p)},{ActivityLabel(int(p)).name}\n"
+        for i, p in enumerate(pred))

@@ -392,9 +392,18 @@ def test_predict_malformed_tree_exit_3(capsys, tiny_csv, tmp_path, root):
         ("linear-regression",
          lambda m: m.update(coef=[row[:-1] for row in m["coef"]]),
          "coef has shape"),
+        # a k-NN round's k was coerced with int(): these loaded and voted
+        # with k=2, k=3 and k=1, exit 0
+        ("knn", lambda m: m.update(k=2.5),
+         "model: k is 2.5, not a JSON integer"),
+        ("knn", lambda m: m.update(k="3"),
+         "model: k is '3', not a JSON integer"),
+        ("knn", lambda m: m.update(k=True),
+         "model: k is True, not a JSON integer"),
     ],
     ids=["nb-means", "knb-bandwidths", "knb-zero-bandwidth",
-         "knb-sample-weights", "linreg-class-column"],
+         "knb-sample-weights", "linreg-class-column", "knn-k-float",
+         "knn-k-str", "knn-k-bool"],
 )
 def test_predict_malformed_array_payload_exit_3(capsys, tiny_csv, tmp_path,
                                                 learner, edit, message):

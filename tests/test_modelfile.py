@@ -10,20 +10,28 @@ from harboost.modelfile import ModelFormatError, load_model, save_model
 from harboost.synthetic import make_activity_dataset
 
 
-@pytest.mark.parametrize(
-    "family,kwargs",
-    [
-        (Family.KNN, {"k": 4}),
-        (Family.DECISION_TREE, {"max_depth": 4}),
-        (Family.MULTIWAY_TREE, {"max_depth": 3}),
-        (Family.RANDOM_FOREST, {"trees": 3, "max_depth": 3, "seed": 2}),
-        (Family.NAIVE_BAYES, {}),
-        (Family.KERNEL_NAIVE_BAYES, {}),
-        (Family.LDA, {}),
-        (Family.QDA, {}),
-        (Family.LINEAR_REGRESSION_OVR, {}),
-    ],
-)
+SAVE_LOAD_CASES = [
+    (Family.KNN, {"k": 4}),
+    (Family.DECISION_TREE, {"max_depth": 4}),
+    (Family.MULTIWAY_TREE, {"max_depth": 3}),
+    (Family.RANDOM_FOREST, {"trees": 3, "max_depth": 3, "seed": 2}),
+    (Family.NAIVE_BAYES, {}),
+    (Family.KERNEL_NAIVE_BAYES, {}),
+    (Family.LDA, {}),
+    (Family.QDA, {}),
+    (Family.LINEAR_REGRESSION_OVR, {}),
+    (Family.DECISION_STUMP, {}),
+    (Family.RANDOM_TREE, {"max_depth": 4, "subset_size": 2, "seed": 3}),
+    (Family.VECTOR_LINEAR_REGRESSION, {"ridge": 0.01}),
+]
+
+
+def test_save_load_cases_cover_every_family():
+    assert sorted(f.value for f, _ in SAVE_LOAD_CASES) \
+        == sorted(f.value for f in Family)
+
+
+@pytest.mark.parametrize("family,kwargs", SAVE_LOAD_CASES)
 def test_save_load_predicts_bit_identically(tmp_path, family, kwargs):
     ds = make_activity_dataset(60, 4, 3, seed=31, spread=0.3)
     ens = boost_fit(LearnerSpec(family, **kwargs), ds, rounds=3, seed=9)

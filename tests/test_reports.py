@@ -10,12 +10,10 @@ from harboost.reports import (
     evaluation_payload,
     headline,
     pct,
-    render_comparison_text,
-    render_evaluation_csv,
-    render_evaluation_text,
+    render,
     render_heatmap,
     render_matrix_text,
-    render_summary_csv,
+    summary_payload,
     to_json,
 )
 from harboost.dataset import summarize_by_activity
@@ -71,10 +69,11 @@ def test_evaluation_text_and_csv_render(blobs4):
     res = cross_validate(LearnerSpec(Family.KNN, k=3), blobs4,
                          folds=3, rounds=1, seed=3)
     cfg = {"folds": 3, "learner": "knn"}
-    text = render_evaluation_text(res, cfg, blobs4)
+    payload = evaluation_payload(res, cfg, blobs4)
+    text = render(payload, "text")
     assert "configuration:" in text
     assert dataset_digest(blobs4) in text
-    csv_text = render_evaluation_csv(res, cfg, blobs4)
+    csv_text = render(payload, "csv")
     assert csv_text.splitlines()[0].startswith(",true ")
     assert "micro_accuracy," in csv_text
 
@@ -88,7 +87,7 @@ def test_comparison_payload_and_text(blobs4):
     assert len(payload["rows"]) == 2 + 5
     implemented = [r for r in payload["rows"] if r["implemented"]]
     assert len(implemented) == 2
-    text = render_comparison_text(report, {"folds": 3}, blobs4)
+    text = render(payload, "text")
     assert "not implemented" in text
     assert "k-NN" in text
 
@@ -96,7 +95,7 @@ def test_comparison_payload_and_text(blobs4):
 def test_summary_csv_shape():
     ds = make_activity_dataset(24, 3, 2, seed=5)
     rows = summarize_by_activity(ds)
-    csv_text = render_summary_csv(rows)
+    csv_text = render(summary_payload(rows, {}, ds), "csv")
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("activity_id,activity,feature,")
     assert len(lines) == 1 + 3 * 2
