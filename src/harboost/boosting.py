@@ -13,6 +13,14 @@ and stops the loop (a first-round failure still yields a usable
 single-model ensemble with alpha = ln(K - 1)); eps_t <= 1e-10 is
 clamped to 1e-10, the round is kept, and the loop stops. Round t fits
 with learner seed `seed XOR t`.
+
+boost_fit_folds runs the loops of several datasets (the folds of a
+cross-validation) in lockstep: round t fits every live fold's model in
+one learners.fit_group call, so the tree families grow all those folds'
+trees through one grower, one grower per class set, since trees grown
+on another class axis would sum their float masses in another order. A
+fold that stops drops out of later rounds. boost_fit is its one-fold
+call, and every fold's ensemble is the one boost_fit gives it alone.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ActivityLabel, Dataset
-from .learners import knn
+from .learners import fit_group, knn
 
 #: Lower clamp on the weighted error, bounding alpha at ln(1e10) + ln(K-1).
 EPSILON_CLAMP = 1e-10
@@ -62,48 +70,79 @@ class BoostedEnsemble:
 def boost_fit(base_spec, ds: Dataset, rounds: int = 10, seed: int = 0) -> BoostedEnsemble:
     """Run the SAMME loop; base_spec is a LearnerSpec or any object with
     fit_weighted(ds, w, seed)."""
+    return boost_fit_folds(base_spec, [ds], rounds, [seed])[0]
+
+
+def boost_fit_folds(base_spec, datasets, rounds: int, seeds) -> list[BoostedEnsemble]:
+    """Run the SAMME loop on every dataset in lockstep.
+
+    Round t fits the models of every fold still boosting, through one
+    learners.fit_group call, before any fold starts round t + 1; a fold
+    whose round stops its loop drops out of later rounds. Each ensemble
+    is the one boost_fit(base_spec, ds, rounds, seed) gives for its
+    dataset alone.
+    """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    class_ids = np.unique(ds.labels)
-    num_classes = len(class_ids)
-    if num_classes < 2:
-        raise ValueError("boosting needs at least 2 classes in the data")
-    n = ds.n_rows
-    labels = ds.labels
-    w = np.full(n, 1.0 / n)
-    kept: list[BoostRound] = []
-    table = None  # k-NN: neighbor sets are weight-independent, cache them
+    folds = [_Fold(ds, seed) for ds, seed in zip(datasets, seeds, strict=True)]
     for t in range(1, rounds + 1):
-        model = base_spec.fit_weighted(ds, w, seed=seed ^ t)
+        live = [f for f in folds if not f.stopped]
+        if not live:
+            break
+        models = fit_group(base_spec, [f.ds for f in live],
+                           [f.w for f in live], [f.seed ^ t for f in live])
+        for fold, model in zip(live, models):
+            fold.add_round(t, model)
+    return [
+        BoostedEnsemble(tuple(f.kept), len(f.class_ids), f.class_ids,
+                        base_spec, rounds, f.seed)
+        for f in folds
+    ]
+
+
+class _Fold:
+    """One dataset's SAMME state: its distribution and the rounds kept."""
+
+    def __init__(self, ds: Dataset, seed: int):
+        self.class_ids = np.unique(ds.labels)
+        if len(self.class_ids) < 2:
+            raise ValueError("boosting needs at least 2 classes in the data")
+        self.ds, self.seed = ds, seed
+        self.w = np.full(ds.n_rows, 1.0 / ds.n_rows)
+        self.kept: list[BoostRound] = []
+        self.stopped = False
+        self.table = None  # k-NN: neighbor sets are weight-independent
+
+    def add_round(self, t: int, model) -> None:
+        """Score round t's model on the training rows and update."""
+        ds, num_classes = self.ds, len(self.class_ids)
         if isinstance(model, knn.KnnModel):
-            if table is None:
-                table = knn.neighbor_table(model.rows, ds.features, model.k)
-            pred = _knn_table_predictions(model, table)
+            if self.table is None:
+                self.table = knn.neighbor_table(model.rows, ds.features, model.k)
+            pred = _knn_table_predictions(model, self.table)
         else:
             pred = model.predict_batch(ds.features)
-        miss = pred != labels
-        epsilon = float(w[miss].sum())
+        miss = pred != ds.labels
+        epsilon = float(self.w[miss].sum())
         if epsilon >= 1.0 - 1.0 / num_classes:
             if t == 1:
-                kept.append(
+                self.kept.append(
                     BoostRound(model, math.log(num_classes - 1), epsilon)
                 )
-            break
-        if epsilon <= EPSILON_CLAMP:
-            kept.append(
+            self.stopped = True
+        elif epsilon <= EPSILON_CLAMP:
+            self.kept.append(
                 BoostRound(model, samme_alpha(EPSILON_CLAMP, num_classes),
                            EPSILON_CLAMP)
             )
-            break
-        alpha = samme_alpha(epsilon, num_classes)
-        w = w * np.exp(alpha * miss)
-        w = w / w.sum()
-        kept.append(
-            BoostRound(model, alpha, epsilon, float(w.sum()), float(w.min()))
-        )
-    return BoostedEnsemble(
-        tuple(kept), num_classes, class_ids, base_spec, rounds, seed
-    )
+            self.stopped = True
+        else:
+            alpha = samme_alpha(epsilon, num_classes)
+            w = self.w * np.exp(alpha * miss)
+            self.w = w / w.sum()
+            self.kept.append(BoostRound(model, alpha, epsilon,
+                                        float(self.w.sum()),
+                                        float(self.w.min())))
 
 
 def _knn_table_predictions(model: knn.KnnModel, table: np.ndarray) -> np.ndarray:

@@ -147,19 +147,34 @@ def _spec_from_args(args, family: Family | None = None) -> LearnerSpec:
                                for f in HYPERPARAMETERS})
 
 
-def _validate_run(args, spec: LearnerSpec, needs_folds: bool) -> None:
+def _validate_run(args, spec: LearnerSpec, ds: Dataset,
+                  needs_folds: bool) -> None:
+    """Raise CliError listing every flag that cannot run on ds, or
+    DataError if ds cannot be boosted at all."""
+    if len(ds.class_counts()) < 2:
+        raise DataError("boosting needs at least 2 classes in the data")
     problems = []
-    if needs_folds and args.folds < 2:
-        problems.append("--folds: folds must be >= 2")
+    train_rows = ds.n_rows
+    if needs_folds:
+        if args.folds < 2:
+            problems.append("--folds: folds must be >= 2")
+        elif args.folds > ds.n_rows:
+            problems.append(f"--folds: fold count {args.folds} exceeds row "
+                            f"count {ds.n_rows}")
+        else:  # the largest fold holds ceil(rows / folds) rows
+            train_rows -= -(-ds.n_rows // args.folds)
     if args.rounds < 1:
         problems.append("--rounds: rounds must be >= 1")
     if needs_folds and args.threads < 1:
         problems.append("--threads: threads must be >= 1")
     try:
-        spec.validate()
+        spec.validate(ds.n_features)
     except ValueError as e:
         problems.extend(f"--{p.split()[0].replace('_', '-')}: {p}"
                         for p in str(e).split("; "))
+    if spec.family is Family.KNN and spec.k > train_rows:
+        problems.append(f"--k: k={spec.k} exceeds the {train_rows} rows of "
+                        f"the smallest training set")
     if problems:
         raise CliError("invalid configuration:\n  " + "\n  ".join(problems))
 
@@ -210,7 +225,7 @@ def cmd_summarize(args) -> int:
 def cmd_evaluate(args) -> int:
     ds, source = _resolve_dataset(args)
     spec = _spec_from_args(args)
-    _validate_run(args, spec, needs_folds=True)
+    _validate_run(args, spec, ds, needs_folds=True)
     config = _effective_config(args, spec, source)
     result = cross_validate(
         spec, ds, folds=args.folds, rounds=args.rounds, seed=args.seed,
@@ -240,7 +255,7 @@ def cmd_compare(args) -> int:
         include_placeholders = True
     specs = [_spec_from_args(args, family=f) for f in families]
     for spec in specs:
-        _validate_run(args, spec, needs_folds=True)
+        _validate_run(args, spec, ds, needs_folds=True)
     config = _effective_config(args, specs[0], source)
     config["learner"] = ",".join(f.value for f in families)
     report = compare(
@@ -255,7 +270,7 @@ def cmd_compare(args) -> int:
 def cmd_train(args) -> int:
     ds, source = _resolve_dataset(args)
     spec = _spec_from_args(args)
-    _validate_run(args, spec, needs_folds=False)
+    _validate_run(args, spec, ds, needs_folds=False)
     ensemble = boost_fit(spec, ds, rounds=args.rounds, seed=args.seed)
     save_model(
         args.model_out, ensemble, ds.feature_names,
@@ -306,7 +321,7 @@ def main(argv=None) -> int:
     except (DataError, ModelFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (CliError, FileNotFoundError, ValueError) as e:
+    except (CliError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

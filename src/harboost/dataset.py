@@ -18,6 +18,7 @@ treated as hard errors, never repaired.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -143,6 +144,17 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    @functools.cached_property
+    def class_blocks(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """(class id, row indices, feature rows) of each class present,
+        in ascending id order, all read-only. Computed once, so every fit
+        on this dataset (each boosting round) shares the same arrays."""
+        blocks = []
+        for label in np.unique(self.labels).tolist():
+            rows = _readonly(np.flatnonzero(self.labels == label))
+            blocks.append((label, rows, _readonly(self.features[rows])))
+        return tuple(blocks)
 
     def class_counts(self) -> dict[ActivityLabel, int]:
         ids, counts = np.unique(self.labels, return_counts=True)

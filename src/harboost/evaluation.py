@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import boost_fit, boost_predict_batch
+from .boosting import boost_fit, boost_fit_folds, boost_predict_batch
 from .dataset import (
     REPORT_CLASS_ORDER,
     ActivityLabel,
@@ -141,16 +141,6 @@ class CVResult:
     seed: int
 
 
-def _fold_result(base_spec, ds, assignment, fold, rounds, seed, labels):
-    train = ds.subset(assignment.train_rows(fold))
-    test_rows = assignment.test_rows(fold)
-    ens = boost_fit(base_spec, train, rounds=rounds, seed=derive_seed(seed, fold))
-    pred = boost_predict_batch(ens, ds.features[test_rows])
-    true = ds.labels[test_rows]
-    cm = confusion_from_predictions(true, pred, labels)
-    return float((pred == true).mean()), cm
-
-
 def worker_count(threads: int, tasks: int, cpus: int) -> int:
     """Worker processes for `tasks` independent fold jobs at --threads
     `threads`: never more than the CPUs this process may run on, nor
@@ -168,7 +158,7 @@ def _available_cpus() -> int:
 
 @dataclass(frozen=True)
 class _CVJob:
-    """Inputs shared by every (spec index, fold) task of one run."""
+    """Inputs shared by every (spec index, fold group) task of one run."""
 
     specs: tuple
     ds: Dataset
@@ -177,11 +167,28 @@ class _CVJob:
     seed: int
     labels: tuple[ActivityLabel, ...]
 
-    def run(self, spec_index: int, fold: int):
-        return _fold_result(
-            self.specs[spec_index], self.ds, self.assignment, fold,
-            self.rounds, self.seed, self.labels,
-        )
+    def run(self, spec_index: int, folds) -> list:
+        """(accuracy, ConfusionMatrix) of each fold of a group, in order.
+
+        The group's folds boost in lockstep; fold f boosts with seed
+        derive_seed(seed, f) whatever group it is in, so results do not
+        depend on the grouping.
+        """
+        spec = self.specs[spec_index]
+        train = [self.ds.subset(self.assignment.train_rows(f)) for f in folds]
+        seeds = [derive_seed(self.seed, f) for f in folds]
+        if len(folds) == 1:  # a lone fold is boost_fit's one-fold call
+            ensembles = [boost_fit(spec, train[0], self.rounds, seeds[0])]
+        else:
+            ensembles = boost_fit_folds(spec, train, self.rounds, seeds)
+        results = []
+        for f, ens in zip(folds, ensembles):
+            test_rows = self.assignment.test_rows(f)
+            pred = boost_predict_batch(ens, self.ds.features[test_rows])
+            true = self.ds.labels[test_rows]
+            results.append((float((pred == true).mean()),
+                            confusion_from_predictions(true, pred, self.labels)))
+        return results
 
 
 #: The job of the pool this worker process belongs to (set by _init_worker).
@@ -196,8 +203,8 @@ def _init_worker(job: _CVJob) -> None:
     signal.signal(signal.SIGINT, signal.SIG_DFL)
 
 
-def _worker_task(spec_index: int, fold: int):
-    return _worker_job.run(spec_index, fold)
+def _worker_task(spec_index: int, folds):
+    return _worker_job.run(spec_index, folds)
 
 
 def _pool_context():
@@ -211,11 +218,17 @@ def _pool_context():
     return mp.get_context("spawn")
 
 
-def _run_tasks(job: _CVJob, tasks, threads: int) -> list:
-    """(accuracy, ConfusionMatrix) of every (spec index, fold) task, in
-    task order. One worker runs the tasks in this process; more run them
-    in one process pool that receives the job once per worker."""
-    workers = worker_count(threads, len(tasks), _available_cpus())
+def fold_groups(folds: int, workers: int) -> list[list[int]]:
+    """The folds 0..folds-1 as min(workers, folds) contiguous groups
+    whose sizes differ by at most one, larger groups first."""
+    return [g.tolist() for g in np.array_split(np.arange(folds),
+                                               min(workers, folds))]
+
+
+def _run_tasks(job: _CVJob, tasks, workers: int) -> list:
+    """The results of every (spec index, fold group) task, in task
+    order. One worker runs the tasks in this process; more run them in
+    one process pool that receives the job once per worker."""
     if workers == 1:
         return [job.run(i, f) for i, f in tasks]
     # Imported here because loading the process-pool modules takes about
@@ -256,11 +269,14 @@ def _cv_result(spec, results, labels, folds, rounds, seed) -> CVResult:
 def _cross_validate_all(specs, ds, folds, rounds, seed, assignment,
                         threads) -> list[CVResult]:
     """Cross-validate every spec on one fold assignment, running all
-    (spec, fold) tasks through one executor."""
+    (spec, fold group) tasks through one executor. With one worker a
+    spec's folds form one group; with N workers, N groups."""
     labels = report_order(np.unique(ds.labels))
     job = _CVJob(tuple(specs), ds, assignment, rounds, seed, labels)
-    tasks = [(i, f) for i in range(len(specs)) for f in range(folds)]
-    results = _run_tasks(job, tasks, threads)
+    workers = worker_count(threads, len(specs) * folds, _available_cpus())
+    tasks = [(i, group) for i in range(len(specs))
+             for group in fold_groups(folds, workers)]
+    results = [r for task in _run_tasks(job, tasks, workers) for r in task]
     return [
         _cv_result(spec, results[i * folds:(i + 1) * folds], labels,
                    folds, rounds, seed)

@@ -6,7 +6,9 @@ dict; model_from_payload reverses it). Fitting is deterministic given
 (spec, dataset, weights): randomized families draw everything from
 spec.seed. Weights are normalized to sum 1 before use, so uniformly
 rescaling them cannot change the fitted model; k-NN keeps the weights
-it was handed because they are part of its vote.
+it was handed because they are part of its vote. fit_group fits one
+spec to several datasets at once (the folds of a cross-validation),
+each model the one its dataset alone gives.
 """
 
 from __future__ import annotations
@@ -105,32 +107,14 @@ class LearnerSpec:
 
     def fit_weighted(self, ds: Dataset, w, seed: int | None = None):
         """Train this family on weighted data; seed overrides self.seed."""
-        self.validate(ds.n_features)
-        w = check_weights(w, ds.n_rows)
         seed = self.seed if seed is None else seed
+        if self.family in _TREE_FAMILIES:
+            return self._fit_trees([ds], [w], [seed])[0]
+        w = self._weights(ds, w)
         fam = self.family
         if fam is Family.KNN:
             return knn.fit_knn(ds, w, self.k)
         w = w / w.sum()
-        if fam is Family.DECISION_STUMP:
-            return trees.fit_tree(ds, w, 1, self.min_leaf_weight, kind="stump")
-        if fam is Family.DECISION_TREE:
-            return trees.fit_tree(ds, w, self.max_depth, self.min_leaf_weight)
-        if fam is Family.MULTIWAY_TREE:
-            return trees.fit_tree(
-                ds, w, self.max_depth, self.min_leaf_weight,
-                kind="multiway", bins=self.bins,
-            )
-        if fam is Family.RANDOM_TREE:
-            return trees.fit_tree(
-                ds, w, self.max_depth, self.min_leaf_weight,
-                kind="random", subset_size=self._subset(ds), seed=seed,
-            )
-        if fam is Family.RANDOM_FOREST:
-            return trees.fit_forest(
-                ds, w, self.trees, self.max_depth, self.min_leaf_weight,
-                self._subset(ds), seed,
-            )
         if fam is Family.NAIVE_BAYES:
             return bayes.fit_gaussian_nb(ds, w)
         if fam is Family.KERNEL_NAIVE_BAYES:
@@ -145,6 +129,30 @@ class LearnerSpec:
             return regression.fit_linear(ds, w, self.ridge, joint=True)
         raise ValueError(f"unknown family: {fam}")
 
+    def _weights(self, ds: Dataset, w) -> np.ndarray:
+        self.validate(ds.n_features)
+        return check_weights(w, ds.n_rows)
+
+    def _fit_trees(self, datasets, weights, seeds) -> list:
+        """A tree family's models for every (dataset, weights, seed),
+        grown through one grower per class set (see trees.fit_trees)."""
+        if len({ds.n_features for ds in datasets}) > 1:
+            raise ValueError("datasets fitted together need the same features")
+        weights = [w / w.sum() for w in map(self._weights, datasets, weights)]
+        fam = self.family
+        if fam is Family.RANDOM_FOREST:
+            return trees.fit_forests(
+                datasets, weights, seeds, self.trees, self.max_depth,
+                self.min_leaf_weight, self._subset(datasets[0]),
+            )
+        kind, depth, subset = _TREE_FAMILIES[fam], self.max_depth, None
+        if fam is Family.DECISION_STUMP:
+            depth = 1
+        elif fam is Family.RANDOM_TREE:
+            subset = self._subset(datasets[0])
+        return trees.fit_trees(datasets, weights, seeds, depth,
+                               self.min_leaf_weight, kind, self.bins, subset)
+
     def _subset(self, ds: Dataset) -> int:
         if self.subset_size is not None:
             return self.subset_size
@@ -156,6 +164,16 @@ class LearnerSpec:
 
     def to_payload(self) -> dict:
         return {"family": self.family.value, **self.hyperparameters()}
+
+
+#: Tree families, with the payload kind of their trees.
+_TREE_FAMILIES = {
+    Family.DECISION_STUMP: "stump",
+    Family.DECISION_TREE: "tree",
+    Family.MULTIWAY_TREE: "multiway",
+    Family.RANDOM_TREE: "random",
+    Family.RANDOM_FOREST: "forest",
+}
 
 
 #: The LearnerSpec fields after family, in declaration order.
@@ -179,6 +197,20 @@ def fit(spec: LearnerSpec, ds: Dataset, w=None):
     if w is None:
         w = np.full(ds.n_rows, 1.0 / ds.n_rows)
     return spec.fit_weighted(ds, w)
+
+
+def fit_group(spec, datasets, weights, seeds) -> list:
+    """spec.fit_weighted(ds, w, seed) of every (ds, w, seed), in order.
+
+    A tree family fits all the datasets at once: datasets with the same
+    class set grow their trees through one grower, and every model is
+    the one a fit of its dataset alone gives. Any other spec, including
+    duck-typed ones such as ConstantLearner, fits one dataset at a time.
+    """
+    if isinstance(spec, LearnerSpec) and spec.family in _TREE_FAMILIES:
+        return spec._fit_trees(datasets, weights, seeds)
+    return [spec.fit_weighted(ds, w, seed=seed)
+            for ds, w, seed in zip(datasets, weights, seeds, strict=True)]
 
 
 def predict(model, x) -> ActivityLabel:
@@ -222,6 +254,7 @@ __all__ = [
     "HYPERPARAMETERS",
     "LearnerSpec",
     "fit",
+    "fit_group",
     "model_from_payload",
     "predict",
     "spec_from_payload",

@@ -19,18 +19,19 @@ _BLOCK_CELLS = 1 << 16
 
 
 def _class_partition(ds, w):
-    """Classes with positive weight mass, their priors, and row groups."""
+    """Classes with positive weight mass, their priors, and per class its
+    weights and feature rows (the dataset's shared read-only block)."""
     w = np.asarray(w, dtype=np.float64)
     total = w.sum()
     class_ids, priors, groups = [], [], []
-    for label in np.unique(ds.labels):
-        rows = np.flatnonzero(ds.labels == label)
-        mass = w[rows].sum()
+    for label, rows, block in ds.class_blocks:
+        cw = w[rows]
+        mass = cw.sum()
         if mass <= 0:
             continue
-        class_ids.append(int(label))
+        class_ids.append(label)
         priors.append(mass / total)
-        groups.append(rows)
+        groups.append((cw, block))
     return np.array(class_ids, dtype=np.int64), np.array(priors), groups
 
 
@@ -73,13 +74,11 @@ def gaussian_nb_from_payload(p: dict) -> GaussianNbModel:
 
 def fit_gaussian_nb(ds, w) -> GaussianNbModel:
     class_ids, priors, groups = _class_partition(ds, w)
-    w = np.asarray(w, dtype=np.float64)
     means = np.empty((len(class_ids), ds.n_features))
     variances = np.empty_like(means)
-    for i, rows in enumerate(groups):
-        cw = w[rows]
-        mu = cw @ ds.features[rows] / cw.sum()
-        var = cw @ (ds.features[rows] - mu) ** 2 / cw.sum()
+    for i, (cw, X) in enumerate(groups):
+        mu = cw @ X / cw.sum()
+        var = cw @ (X - mu) ** 2 / cw.sum()
         means[i] = mu
         variances[i] = np.maximum(var, VAR_FLOOR)
     return GaussianNbModel(class_ids, priors, means, variances)
@@ -176,14 +175,12 @@ def kernel_nb_from_payload(p: dict) -> KernelNbModel:
 
 def fit_kernel_nb(ds, w) -> KernelNbModel:
     class_ids, priors, groups = _class_partition(ds, w)
-    w = np.asarray(w, dtype=np.float64)
     samples, sample_weights = [], []
     bandwidths = np.empty((len(class_ids), ds.n_features))
-    for i, rows in enumerate(groups):
-        cw = w[rows]
-        samples.append(np.array(ds.features[rows]))
+    for i, (cw, X) in enumerate(groups):
+        samples.append(X)
         sample_weights.append(cw / cw.sum())
-        bandwidths[i] = silverman_bandwidth(samples[-1], cw)
+        bandwidths[i] = silverman_bandwidth(X, cw)
     return KernelNbModel(
         class_ids, priors, tuple(samples), tuple(sample_weights), bandwidths
     )

@@ -40,12 +40,11 @@ def _weighted_class_stats(ds, w, groups):
     means = np.empty((len(groups), ds.n_features))
     pooled = np.zeros((ds.n_features, ds.n_features))
     masses = np.empty(len(groups))
-    for i, rows in enumerate(groups):
-        cw = w[rows]
+    for i, (cw, X) in enumerate(groups):
         masses[i] = cw.sum()
-        mu = cw @ ds.features[rows] / masses[i]
+        mu = cw @ X / masses[i]
         means[i] = mu
-        xc = ds.features[rows] - mu
+        xc = X - mu
         pooled += (xc * cw[:, None]).T @ xc
     pooled /= w.sum()
     pooled = (pooled + pooled.T) / 2.0
@@ -147,12 +146,11 @@ def fit_qda(ds, w, ridge: float | None = None) -> QdaModel:
     pooled_cov = _floored(pooled, ridge)
     total = w.sum()
     factors, log_dets = [], np.empty(len(groups))
-    for i, rows in enumerate(groups):
+    for i, (cw, X) in enumerate(groups):
         if masses[i] < _MASS_FALLBACK * total:
             cov = pooled_cov
         else:
-            cw = w[rows]
-            xc = ds.features[rows] - means[i]
+            xc = X - means[i]
             cov = (xc * cw[:, None]).T @ xc / masses[i]
             cov = _floored((cov + cov.T) / 2.0, ridge)
         L = cholesky_factor(cov)

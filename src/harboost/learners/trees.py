@@ -35,14 +35,22 @@ combination: the scan-order tie rule above. Splitting permutes each
 node's column range so that its children own consecutive sub-ranges,
 each still in feature order.
 
-Trees without feature subsets search every pending node of a depth in
-one step. Random trees draw each node's feature subset from their
-SplitMix64 stream in preorder (a node draws only if it is not stopped
-before the search), so a step takes one node per tree: its next node in
-preorder. A forest grows its trees in lockstep, one node of each tree
-per step, each tree with its own stream, on the forest's class axis
-(see fit_forest). Prediction routes rows through flat node arrays, all
-trees of a forest in one pass.
+One grower grows many trees, each on a row range of its own: the trees
+of a forest, and the trees of every dataset fitted together, such as
+the folds of a cross-validation boosting in lockstep (fit_trees,
+fit_forests; a fit of one dataset is the case of one), up to about
+_GROW_ROWS rows in all. Trees without
+feature subsets search every pending node of a depth, across all their
+trees, in one step. Random trees draw each node's feature subset from
+their SplitMix64 stream in preorder (a node draws only if it is not
+stopped before the search), so a step takes one node per tree: its next
+node in preorder. A lone random tree therefore searches one node per
+step, and grows faster the more trees grow beside it. Each tree has its
+own stream and its own minimum leaf mass. Trees share a grower only
+when their datasets have the same class set, so that every tree sums
+its masses over the class axis it would have alone (see _class_groups).
+Prediction routes rows through flat node arrays, all trees of a forest
+in one pass.
 """
 
 from __future__ import annotations
@@ -70,16 +78,23 @@ _STEP_ROWS = 4096
 # Class masses of padding one batch may score: about the fixed cost of a
 # batch, measured on 450-row folds of the 12-class task
 _PAD_WORK = 6144
-# (row x candidate feature) cells whose class masses are scored at once
+# About the most rows one grower holds for trees grown together (its
+# features and attribute lists take 16 bytes x features a row): the 100
+# trees of a 10-fold forest at the 7767-row task take seven growers
+_GROW_ROWS = 1 << 16
+# (row x candidate feature) cells whose class masses are scored at once,
+# or (row x interval) cells in a multiway search
 _TILE_CELLS = 4096
 
 
-@dataclass(frozen=True)
+# Slotted: cross-validation keeps every fold's trees until all folds
+# finish boosting, so nodes stay small.
+@dataclass(frozen=True, slots=True)
 class Leaf:
     label: int  # activity id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitNode:
     feature: int
     thresholds: tuple[float, ...]  # sorted; len 1 for binary splits
@@ -282,7 +297,6 @@ def max_feature(model) -> int:
 @dataclass(frozen=True)
 class GrowParams:
     max_depth: int
-    min_leaf_weight: float
     multiway: bool = False
     bins: int = 4
     subset_size: int | None = None  # random per-node feature subset
@@ -384,22 +398,22 @@ class _Grower:
         self.K = n_classes
         self.p = params
         self.w = np.append(w, 0.0)
-        # onehot[c, i]: row i's weight if it has class c, else 0
-        self.onehot = np.zeros((n_classes, n + 1), dtype=np.float64)
-        self.onehot[y_idx, np.arange(n)] = w
         self.A = np.empty_like(self.XT, dtype=np.int64)
         self.scratch = np.empty(n, dtype=np.int64)
         # per node, in creation order (children after their parent)
         self.start, self.size, self.depth, self.tree = [], [], [], []
+        self.min_leaf = None  # per tree: nodes at or below this mass stop
         self.label = []  # class index with the largest mass
         self.splits = {}  # node -> (feature, thresholds, child node ids)
 
-    def grow(self, bounds, prngs=None) -> list[int]:
+    def grow(self, bounds, min_leaf, prngs=None) -> list[int]:
         """Grow one tree on each (lo, hi) row range; return the root ids.
 
-        bounds must cover the rows in order. With prngs, tree t draws
-        its nodes' feature subsets from prngs[t].
+        bounds must cover the rows in order. A node of tree t stops at a
+        weight mass of at most min_leaf[t]. With prngs, tree t draws its
+        nodes' feature subsets from prngs[t].
         """
+        self.min_leaf = np.asarray(min_leaf, dtype=np.float64)
         for lo, hi in bounds:
             self.A[:, lo:hi] = lo + np.argsort(self.XT[:, lo:hi], axis=1,
                                                kind="stable")
@@ -467,7 +481,7 @@ class _Grower:
             owner * K + self.y[rows], weights=self.w[rows], minlength=count * K,
         ).reshape(count, K)
         grows = (
-            (masses.sum(axis=1) > self.p.min_leaf_weight)
+            (masses.sum(axis=1) > self.min_leaf[trees])
             & ((masses > 0).sum(axis=1) > 1)
         ).tolist()
         first = len(self.label)
@@ -502,7 +516,7 @@ class _Grower:
         if min(size_list) < n:
             wsub = np.where(real.repeat(m, axis=0), sub, self.n)
         if self.p.multiway:
-            found = self._best_multiway(vals, self.onehot[:, wsub],
+            found = self._best_multiway(vals, wsub,
                                         self.w[wsub].cumsum(axis=1), N)
         else:
             found = self._best_binary(vals, self._mass_scores(wsub), N)
@@ -519,7 +533,8 @@ class _Grower:
         # positions from ends[i - 1] up to ends[i] (padding repeats the
         # last row, with the same label); then sort every attribute list
         # of the split nodes' columns by child. A stable sort keeps each
-        # child's rows in feature order, inside its parent's columns.
+        # child's rows in feature order, inside its parent's columns; it
+        # runs as a radix sort when the child numbers fit 16 bits.
         n_children = n_thr + 1
         first_child = n_children.cumsum() - n_children
         label = (ends[:, None, :] <= pos[:, None]).sum(axis=2)
@@ -527,7 +542,10 @@ class _Grower:
         self.scratch[sub[win]] = label
         cols = col[real]
         block = self.A[:, cols]
-        perm = self.scratch[block].argsort(axis=1, kind="stable")
+        keys = self.scratch[block]
+        if n_children.sum() <= 1 << 16:
+            keys = keys.astype(np.uint16)
+        perm = keys.argsort(axis=1, kind="stable")
         block = block[np.arange(block.shape[0])[:, None], perm]
         self.A[:, cols] = block
         owner = self.scratch[block[0]]
@@ -557,12 +575,19 @@ class _Grower:
         B, n = sub.shape
         score = np.empty((B, n - 1), dtype=np.float64)
         tile = max(1, _TILE_CELLS // n)
+        pos = np.arange(n)
         for r in range(0, B, tile):
             rows = sub[r:r + tile]
             # masses[c, 0, r, i]: class c's mass in the first i + 1 rows
-            # of row r (left of cut i); masses[c, 1, r, i]: in the others
+            # of row r (left of cut i); masses[c, 1, r, i]: in the others.
+            # Each row's weight is put at its class, the other classes
+            # holding 0.0, and summed up in place.
             masses = np.empty((self.K, 2) + rows.shape, dtype=np.float64)
-            np.cumsum(self.onehot[:, rows], axis=-1, out=masses[:, 0])
+            left = masses[:, 0]
+            left.fill(0.0)
+            left[self.y[rows], np.arange(rows.shape[0])[:, None], pos] = \
+                self.w[rows]
+            np.cumsum(left, axis=-1, out=left)
             np.subtract(masses[:, 0, :, -1:], masses[:, 0], out=masses[:, 1])
             gini = _gini_sum(masses)
             np.add(gini[0, :, :-1], gini[1, :, :-1], out=score[r:r + tile])
@@ -590,16 +615,13 @@ class _Grower:
         return (np.isfinite(score.min(axis=1)), win, t[:, None],
                 i[:, None] + 1, np.ones(N, dtype=np.int64))
 
-    def _best_multiway(self, vals, onehot, wcum, N):
+    def _best_multiway(self, vals, sub, wcum, N):
         """Best interval partition of each of N nodes over its features.
 
+        sub holds the rows of vals (padding as the zero-weight row n).
         Returns as _best_binary, with thresholds padded with +inf.
         """
         B, n = vals.shape
-        # class-mass prefix per row; cumz[c, r, i] sums class c over the
-        # first i rows in row r's order, so cumz[:, r, 0] is all zeros
-        cumz = np.zeros((self.K, B, n + 1), dtype=np.float64)
-        np.cumsum(onehot, axis=-1, out=cumz[:, :, 1:])
         bins = self.p.bins
         # per row: the value at each weighted quantile, i.e. at
         # searchsorted(wcum, level * total, "left"), counted as the
@@ -627,20 +649,35 @@ class _Grower:
         ends[:, 0] = 0
         ends[:, 1:-1] = (vals[:, :, None] <= cand[:, None, :]).sum(axis=1)
         ends[:, -1] = n
-        points = np.take_along_axis(cumz, ends[None], axis=2)
+        # points[c, r, p]: class c's mass in the first ends[r, p] rows of
+        # row r, from one class's running sums at a time
+        points = np.empty((self.K, B, top + 2))
+        cum = np.zeros((B, n + 1))
+        y, w = self.y[sub], self.w[sub]
+        for c in range(self.K):
+            np.cumsum(np.where(y == c, w, 0.0), axis=1, out=cum[:, 1:])
+            points[c] = np.take_along_axis(cum, ends, axis=1)
         (lo, hi), layouts, picks, counts = _cut_layouts(top, bins)
-        # gini[r, p]: score of row r's p-th interval, between points lo[p]
-        # and hi[p]
-        gini = _gini_sum(points[:, :, hi] - points[:, :, lo])
-        scores = []
-        for intervals, last in layouts:
-            s = gini[:, intervals].sum(axis=-1)
-            # a combination that uses a padding candidate is no cut
-            s[last[None, :] > n_cand[:, None]] = np.inf
-            scores.append(s)
+        # scores[r, k]: score of row r's k-th combination, a tile of rows
+        # at a time, so that the class masses of their intervals stay
+        # within _TILE_CELLS (row x interval) cells
+        scores = np.empty((B, picks.shape[0]))
+        tile = max(1, _TILE_CELLS // lo.size)
+        for r in range(0, B, tile):
+            rows = slice(r, r + tile)
+            # gini[r, p]: score of row r's p-th interval, between points
+            # lo[p] and hi[p]
+            gini = _gini_sum(points[:, rows, hi] - points[:, rows, lo])
+            k = 0
+            for intervals, last in layouts:
+                s = scores[rows, k:k + last.size]
+                np.sum(gini[:, intervals], axis=-1, out=s)
+                # a combination that uses a padding candidate is no cut
+                s[last[None, :] > n_cand[rows, None]] = np.inf
+                k += last.size
         # row-major first minimum per node: lowest feature, then fewest
         # intervals, then the lexicographically first combination
-        scores = np.concatenate(scores, axis=1).reshape(N, -1)
+        scores = scores.reshape(N, -1)
         best = scores.argmin(axis=1)
         j, combo = np.divmod(best, picks.shape[0])
         win = np.arange(0, B, B // N) + j
@@ -652,15 +689,16 @@ class _Grower:
                 np.where(used, ends[win[:, None], chosen], n), counts[combo])
 
     def nodes(self, class_ids) -> list:
-        """Every grown node as a Leaf or SplitNode, leaves as activity ids."""
-        labels = class_ids.tolist()
+        """Every grown node as a Leaf or SplitNode, leaves as activity
+        ids; leaves of one class are one shared (immutable) Leaf."""
+        leaves = [Leaf(label) for label in class_ids.tolist()]
         built = [None] * len(self.label)
         for v in range(len(built) - 1, -1, -1):
             if v in self.splits:
                 f, t, kids = self.splits[v]
                 built[v] = SplitNode(f, t, tuple(built[c] for c in kids))
             else:
-                built[v] = Leaf(int(labels[self.label[v]]))
+                built[v] = leaves[self.label[v]]
         return built
 
 
@@ -669,26 +707,76 @@ class _Grower:
 # ---------------------------------------------------------------------------
 
 
-def _prep(ds, w):
-    class_ids = np.unique(ds.labels)
-    y_idx = np.searchsorted(class_ids, ds.labels)
-    return class_ids, y_idx, np.asarray(w, dtype=np.float64)
+def _class_groups(datasets) -> list[tuple[np.ndarray, list[int]]]:
+    """Indices of the datasets grouped by class set, with its class ids.
+
+    Trees grow together only on a shared class axis. A class missing
+    from one dataset's labels would add zero masses to its float weight
+    sums, which changes _class_sum's pairwise grouping and so the last
+    bit of its Gini scores; datasets with different class sets therefore
+    grow apart.
+    """
+    groups = {}
+    for i, ds in enumerate(datasets):
+        ids = np.unique(ds.labels)
+        groups.setdefault(ids.tobytes(), (ids, []))[1].append(i)
+    return list(groups.values())
 
 
-def fit_tree(ds, w, max_depth, min_leaf_weight, kind="tree", bins=4,
-             subset_size=None, seed=0) -> TreeModel:
-    class_ids, y_idx, w = _prep(ds, w)
-    params = GrowParams(
-        max_depth=max_depth,
-        min_leaf_weight=min_leaf_weight,
-        multiway=(kind == "multiway"),
-        bins=bins,
-        subset_size=subset_size,
-    )
-    grower = _Grower(ds.features.T, y_idx, w, len(class_ids), params)
-    prngs = [SplitMix64(seed)] if subset_size is not None else None
-    (root,) = grower.grow([(0, ds.n_rows)], prngs)
-    return TreeModel(grower.nodes(class_ids)[root], class_ids, kind)
+def _grow_together(class_ids, blocks, params, prngs=None):
+    """Grow one tree per (dataset, rows, weights, min_leaf_weight) block,
+    each on the dataset's rows (an index array or a slice) as a row range
+    of its own; return every grown node (see _Grower.nodes) and the
+    trees' root ids. The blocks share a grower in as few contiguous runs
+    as keep each near _GROW_ROWS rows, which bounds a grower's arrays."""
+    total = sum(ds.labels[rows].size for ds, rows, _, _ in blocks)
+    runs = min(len(blocks), -(-total // _GROW_ROWS))
+    nodes, roots = [], []
+    for run in np.array_split(np.arange(len(blocks)), runs):
+        part = [blocks[i] for i in run]
+        labels = [ds.labels[rows] for ds, rows, _, _ in part]
+        sizes = np.array([y.size for y in labels])
+        ends = sizes.cumsum()
+        grower = _Grower(
+            np.concatenate([ds.features[rows].T for ds, rows, _, _ in part],
+                           axis=1),
+            np.searchsorted(class_ids, np.concatenate(labels)),
+            np.concatenate([w for _, _, w, _ in part]),
+            len(class_ids), params,
+        )
+        run_roots = grower.grow(
+            list(zip((ends - sizes).tolist(), ends.tolist())),
+            [m for _, _, _, m in part],
+            None if prngs is None else [prngs[i] for i in run],
+        )
+        roots += [len(nodes) + r for r in run_roots]
+        nodes += grower.nodes(class_ids)
+    return nodes, roots
+
+
+def fit_trees(datasets, weights, seeds, max_depth, min_leaf_weight,
+              kind="tree", bins=4, subset_size=None) -> list[TreeModel]:
+    """One tree per (dataset, weights, seed), each as it grows alone.
+
+    Datasets with the same class set grow through one grower, one row
+    range each. With subset_size, tree i draws its feature subsets from
+    SplitMix64(seeds[i]).
+    """
+    params = GrowParams(max_depth=max_depth, multiway=(kind == "multiway"),
+                        bins=bins, subset_size=subset_size)
+    out = [None] * len(datasets)
+    for class_ids, members in _class_groups(datasets):
+        prngs = None
+        if subset_size is not None:
+            prngs = [SplitMix64(seeds[i]) for i in members]
+        nodes, roots = _grow_together(class_ids, [
+            (datasets[i], slice(None), np.asarray(weights[i], dtype=np.float64),
+             min_leaf_weight)
+            for i in members
+        ], params, prngs)
+        for i, root in zip(members, roots):
+            out[i] = TreeModel(nodes[root], class_ids, kind)
+    return out
 
 
 def bootstrap_counts(prng: SplitMix64, cum: np.ndarray) -> np.ndarray:
@@ -703,50 +791,48 @@ def bootstrap_counts(prng: SplitMix64, cum: np.ndarray) -> np.ndarray:
     return np.bincount(np.minimum(picks, n - 1), minlength=n)
 
 
-def fit_forest(ds, w, n_trees, max_depth, min_leaf_weight, subset_size,
-               seed) -> ForestModel:
-    """Seeded weighted bootstrap forest of random trees.
+def fit_forests(datasets, weights, seeds, n_trees, max_depth,
+                min_leaf_weight, subset_size) -> list[ForestModel]:
+    """One seeded weighted bootstrap forest of random trees per
+    (dataset, weights, seed).
 
     Tree i draws N rows with replacement, with probability proportional
     to w, from a SplitMix64 stream seeded by derive_seed(seed, i); the
     same stream then drives that tree's per-node feature subsets. Each
     tree trains on its resample with integer multiplicity weights (an
     exact, scale-equivalent form of counts/N: all Gini mass arithmetic
-    stays exact, so split ties resolve by scan order, not rounding).
-    Trees vote unweighted; ties go to the lower class id.
+    stays exact, so split ties resolve by scan order, not rounding), and
+    its nodes stop at a mass of at most min_leaf_weight * N. Trees vote
+    unweighted; ties go to the lower class id.
 
-    The trees grow together on one class axis, the forest's. A tree's
-    resample may lack some classes, which then add zero masses to its
-    sums; that leaves every sum and Gini score bit-identical only
-    because the masses are integer counts, which floats add exactly in
-    any order.
+    The trees of every forest whose dataset has the same class set grow
+    together through one grower, one row range per (forest, tree), on
+    that class axis. A tree's resample may lack some classes, which then
+    add zero masses to its sums; that leaves every sum and Gini score
+    bit-identical only because the masses are integer counts, which
+    floats add exactly in any order.
     """
-    class_ids, y_idx, w = _prep(ds, w)
-    n = ds.n_rows
-    cum = np.cumsum(w / w.sum())
-    prngs, picked, counts = [], [], []
-    for i in range(n_trees):
-        prng = SplitMix64(derive_seed(seed, i))
-        c = bootstrap_counts(prng, cum)
-        prngs.append(prng)
-        picked.append(np.flatnonzero(c > 0))
-        counts.append(c[picked[-1]])
-    rows = np.concatenate(picked)
-    params = GrowParams(
-        max_depth=max_depth,
-        min_leaf_weight=min_leaf_weight * n,
-        subset_size=subset_size,
-    )
-    grower = _Grower(np.take(ds.features.T, rows, axis=1), y_idx[rows],
-                     np.concatenate(counts).astype(np.float64),
-                     len(class_ids), params)
-    ends = np.cumsum([p.size for p in picked])
-    roots = grower.grow(list(zip(ends - [p.size for p in picked], ends)), prngs)
-    nodes = grower.nodes(class_ids)
-    return ForestModel(
-        tuple(
-            TreeModel(nodes[root], np.unique(ds.labels[p]), "random")
-            for root, p in zip(roots, picked)
-        ),
-        class_ids,
-    )
+    params = GrowParams(max_depth=max_depth, subset_size=subset_size)
+    out = [None] * len(datasets)
+    for class_ids, members in _class_groups(datasets):
+        blocks, prngs, picked = [], [], []
+        for i in members:
+            ds, w = datasets[i], np.asarray(weights[i], dtype=np.float64)
+            cum = np.cumsum(w / w.sum())
+            for t in range(n_trees):
+                prng = SplitMix64(derive_seed(seeds[i], t))
+                counts = bootstrap_counts(prng, cum)
+                rows = np.flatnonzero(counts > 0)
+                blocks.append((ds, rows, counts[rows].astype(np.float64),
+                               min_leaf_weight * ds.n_rows))
+                prngs.append(prng)
+                picked.append(np.unique(ds.labels[rows]))
+        nodes, roots = _grow_together(class_ids, blocks, params, prngs)
+        for j, i in enumerate(members):
+            trees = range(j * n_trees, (j + 1) * n_trees)
+            out[i] = ForestModel(
+                tuple(TreeModel(nodes[roots[t]], picked[t], "random")
+                      for t in trees),
+                class_ids,
+            )
+    return out

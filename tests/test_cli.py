@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from harboost.cli import main
-from harboost.dataset import load_csv
+from harboost.dataset import load_csv, save_csv
+from harboost.learners import bayes
 from harboost.synthetic import write_hapt_layout
 
 
@@ -133,6 +134,52 @@ def test_evaluate_validation_lists_all_flags(capsys, tiny_csv):
     assert code == 2
     assert "folds must be >= 2" in stderr
     assert "rounds must be >= 1" in stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--folds", "97"], "--folds: fold count 97 exceeds row count 96"),
+    (["--learner", "random-tree", "--subset-size", "16"],
+     "--subset-size: subset_size exceeds the 15 features"),
+    (["--folds", "4", "--k", "73"],
+     "--k: k=73 exceeds the 72 rows of the smallest training set"),
+])
+def test_evaluate_settings_beyond_the_data_exit_2(capsys, tiny_csv, argv,
+                                                  message):
+    code, _, stderr = run(capsys, ["evaluate", "--from-csv", tiny_csv,
+                                   "--rounds", "1", *argv])
+    assert code == 2
+    assert message in stderr
+
+
+def test_train_k_above_row_count_exit_2(capsys, tiny_csv, tmp_path):
+    code, _, stderr = run(capsys, ["train", "--from-csv", tiny_csv, "--k", "97",
+                                   "--model-out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "--k: k=97 exceeds the 96 rows" in stderr
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare", "train"])
+def test_single_class_data_exit_3(capsys, tiny_csv, tmp_path, command):
+    ds = load_csv(tiny_csv)
+    one = tmp_path / "one.csv"
+    save_csv(ds.subset(ds.labels == ds.labels[0]), str(one))
+    extra = ["--model-out", str(tmp_path / "m.json")] if command == "train" \
+        else ["--folds", "2"]
+    code, _, stderr = run(capsys, [command, "--from-csv", str(one), *extra])
+    assert code == 3
+    assert "at least 2 classes" in stderr
+
+
+def test_value_error_inside_a_fit_exits_4(capsys, tiny_csv, monkeypatch):
+    """A ValueError that no input check raised is an internal fault."""
+    def broken(ds, w):
+        raise ValueError("broken fit")
+
+    monkeypatch.setattr(bayes, "fit_gaussian_nb", broken)
+    code, _, stderr = run(capsys, ["evaluate", "--from-csv", tiny_csv,
+                                   "--learner", "naive-bayes", "--folds", "2"])
+    assert code == 4
+    assert "internal error: ValueError: broken fit" in stderr
 
 
 def test_evaluate_bad_csv_exit_3(capsys, tmp_path):

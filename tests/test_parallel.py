@@ -26,7 +26,7 @@ from harboost.evaluation import compare, cross_validate, worker_count
 from harboost.learners import Family, LearnerSpec
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 SRC = Path(evaluation.__file__).resolve().parents[1]
 needs_fork = pytest.mark.skipif(
@@ -113,11 +113,41 @@ def test_compare_all_families_threads2_equals_serial(capsys, tmp_path, blobs12):
     family=st.sampled_from([Family.KNN, Family.DECISION_TREE,
                             Family.NAIVE_BAYES, Family.RANDOM_FOREST]),
 )
+# folds that split unevenly over two workers' fold groups
+@example(seed=17, folds=3, family=Family.RANDOM_TREE)
+@example(seed=18, folds=5, family=Family.MULTIWAY_TREE)
 def test_cross_validate_independent_of_threads(blobs4, seed, folds, family):
     spec = LearnerSpec(family, k=3, trees=2, max_depth=3, seed=seed)
     a = cross_validate(spec, blobs4, folds=folds, rounds=2, seed=seed, threads=1)
     b = cross_validate(spec, blobs4, folds=folds, rounds=2, seed=seed, threads=2)
     assert a == b
+
+
+@pytest.mark.parametrize("groups", [[[0, 1, 2], [3]], [[0], [1], [2], [3]],
+                                    [[0, 1], [2, 3]]])
+def test_uneven_fold_groups_give_the_serial_result(monkeypatch, blobs12,
+                                                   groups):
+    """However the folds are split into lockstep groups, every fold
+    gives what it gives in the one group of a serial run."""
+    specs = [LearnerSpec(f, trees=2, max_depth=4, seed=9)
+             for f in (Family.RANDOM_TREE, Family.RANDOM_FOREST,
+                       Family.MULTIWAY_TREE, Family.KERNEL_NAIVE_BAYES)]
+    ds = blobs12.subset(np.arange(0, blobs12.n_rows, 4))
+    assert evaluation.fold_groups(4, 1) == [[0, 1, 2, 3]]
+    serial = compare(specs, ds, folds=4, rounds=2, seed=6)
+    monkeypatch.setattr(evaluation, "fold_groups", lambda folds, workers: groups)
+    assert compare(specs, ds, folds=4, rounds=2, seed=6) == serial
+
+
+@pytest.mark.parametrize("folds,workers,expected", [
+    (4, 1, [[0, 1, 2, 3]]),
+    (4, 2, [[0, 1], [2, 3]]),
+    (3, 2, [[0, 1], [2]]),
+    (10, 4, [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9]]),
+    (2, 8, [[0], [1]]),
+])
+def test_fold_groups_are_contiguous_and_balanced(folds, workers, expected):
+    assert evaluation.fold_groups(folds, workers) == expected
 
 
 def test_threaded_caller_gets_spawned_workers_and_same_result(blobs4):
