@@ -23,11 +23,12 @@ from .dataset import (
     load_csv,
     load_feature_csv,
     save_csv,
+    stratified_folds,
     summarize_by_activity,
 )
 from .evaluation import compare, cross_validate
 from .learners import (
-    DISPLAY_NAMES,
+    FAMILIES,
     HYPERPARAMETERS,
     Family,
     LearnerSpec,
@@ -147,36 +148,47 @@ def _spec_from_args(args, family: Family | None = None) -> LearnerSpec:
                                for f in HYPERPARAMETERS})
 
 
-def _validate_run(args, spec: LearnerSpec, ds: Dataset,
-                  needs_folds: bool) -> None:
-    """Raise CliError listing every flag that cannot run on ds, or
-    DataError if ds cannot be boosted at all."""
+def _validate_run(args, specs, ds: Dataset, needs_folds: bool) -> None:
+    """Raise CliError listing every flag that cannot run on ds (for the
+    first spec that has one), or DataError if ds or, with needs_folds,
+    the training set of one of its folds has fewer than 2 classes."""
     if len(ds.class_counts()) < 2:
         raise DataError("boosting needs at least 2 classes in the data")
-    problems = []
+    common = []
     train_rows = ds.n_rows
     if needs_folds:
         if args.folds < 2:
-            problems.append("--folds: folds must be >= 2")
+            common.append("--folds: folds must be >= 2")
         elif args.folds > ds.n_rows:
-            problems.append(f"--folds: fold count {args.folds} exceeds row "
-                            f"count {ds.n_rows}")
+            common.append(f"--folds: fold count {args.folds} exceeds row "
+                          f"count {ds.n_rows}")
         else:  # the largest fold holds ceil(rows / folds) rows
             train_rows -= -(-ds.n_rows // args.folds)
     if args.rounds < 1:
-        problems.append("--rounds: rounds must be >= 1")
+        common.append("--rounds: rounds must be >= 1")
     if needs_folds and args.threads < 1:
-        problems.append("--threads: threads must be >= 1")
-    try:
-        spec.validate(ds.n_features)
-    except ValueError as e:
-        problems.extend(f"--{p.split()[0].replace('_', '-')}: {p}"
-                        for p in str(e).split("; "))
-    if spec.family is Family.KNN and spec.k > train_rows:
-        problems.append(f"--k: k={spec.k} exceeds the {train_rows} rows of "
-                        f"the smallest training set")
-    if problems:
-        raise CliError("invalid configuration:\n  " + "\n  ".join(problems))
+        common.append("--threads: threads must be >= 1")
+    for spec in specs:
+        problems = list(common)
+        try:
+            spec.validate(ds.n_features)
+        except ValueError as e:
+            problems.extend(f"--{p.split()[0].replace('_', '-')}: {p}"
+                            for p in str(e).split("; "))
+        if spec.family is Family.KNN and spec.k > train_rows:
+            problems.append(f"--k: k={spec.k} exceeds the {train_rows} rows "
+                            f"of the smallest training set")
+        if problems:
+            raise CliError("invalid configuration:\n  " + "\n  ".join(problems))
+    if needs_folds:  # the assignment cross_validate and compare use
+        assignment = stratified_folds(ds, args.folds, args.seed)
+        for f in range(args.folds):
+            classes = set(ds.labels[assignment.train_rows(f)].tolist())
+            if len(classes) < 2:
+                raise DataError(
+                    f"boosting needs at least 2 classes in every training "
+                    f"set, but fold {f}'s holds only class {classes.pop()}"
+                )
 
 
 def _effective_config(args, spec: LearnerSpec, source: dict) -> dict:
@@ -225,7 +237,7 @@ def cmd_summarize(args) -> int:
 def cmd_evaluate(args) -> int:
     ds, source = _resolve_dataset(args)
     spec = _spec_from_args(args)
-    _validate_run(args, spec, ds, needs_folds=True)
+    _validate_run(args, [spec], ds, needs_folds=True)
     config = _effective_config(args, spec, source)
     result = cross_validate(
         spec, ds, folds=args.folds, rounds=args.rounds, seed=args.seed,
@@ -254,8 +266,7 @@ def cmd_compare(args) -> int:
         families = list(Family)
         include_placeholders = True
     specs = [_spec_from_args(args, family=f) for f in families]
-    for spec in specs:
-        _validate_run(args, spec, ds, needs_folds=True)
+    _validate_run(args, specs, ds, needs_folds=True)
     config = _effective_config(args, specs[0], source)
     config["learner"] = ",".join(f.value for f in families)
     report = compare(
@@ -270,14 +281,14 @@ def cmd_compare(args) -> int:
 def cmd_train(args) -> int:
     ds, source = _resolve_dataset(args)
     spec = _spec_from_args(args)
-    _validate_run(args, spec, ds, needs_folds=False)
+    _validate_run(args, [spec], ds, needs_folds=False)
     ensemble = boost_fit(spec, ds, rounds=args.rounds, seed=args.seed)
     save_model(
         args.model_out, ensemble, ds.feature_names,
         dataset_digest(ds), ds.n_rows,
     )
     print(
-        f"wrote {args.model_out}: {DISPLAY_NAMES[spec.family]}, "
+        f"wrote {args.model_out}: {FAMILIES[spec.family].display_name}, "
         f"{len(ensemble.rounds)} of {args.rounds} rounds kept, "
         f"trained on {ds.n_rows} rows"
     )

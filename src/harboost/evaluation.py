@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import boost_fit, boost_fit_folds, boost_predict_batch
+from .boosting import boost_fit_folds, boost_predict_batch
 from .dataset import (
     REPORT_CLASS_ORDER,
     ActivityLabel,
@@ -25,7 +25,7 @@ from .dataset import (
     FoldAssignment,
     stratified_folds,
 )
-from .learners import DISPLAY_NAMES, LearnerSpec
+from .learners import FAMILIES, LearnerSpec
 from .rng import derive_seed
 
 #: Learners that appear in comparison reports as placeholders only.
@@ -177,10 +177,7 @@ class _CVJob:
         spec = self.specs[spec_index]
         train = [self.ds.subset(self.assignment.train_rows(f)) for f in folds]
         seeds = [derive_seed(self.seed, f) for f in folds]
-        if len(folds) == 1:  # a lone fold is boost_fit's one-fold call
-            ensembles = [boost_fit(spec, train[0], self.rounds, seeds[0])]
-        else:
-            ensembles = boost_fit_folds(spec, train, self.rounds, seeds)
+        ensembles = boost_fit_folds(spec, train, self.rounds, seeds)
         results = []
         for f, ens in zip(folds, ensembles):
             test_rows = self.assignment.test_rows(f)
@@ -355,7 +352,7 @@ def compare(
     )
     measured = []
     for i, (spec, result) in enumerate(zip(specs, results)):
-        name = DISPLAY_NAMES.get(spec.family, str(spec.family)) \
+        name = FAMILIES[spec.family].display_name \
             if isinstance(spec, LearnerSpec) else type(spec).__name__
         measured.append((i, ComparisonRow(name, spec, result)))
     measured.sort(key=lambda t: (-t[1].result.micro_accuracy, t[0]))

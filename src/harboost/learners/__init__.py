@@ -1,20 +1,26 @@
 """The twelve weighted base learners behind one fit/predict interface.
 
+A family is its row of FAMILIES (display name, payload name, payload
+loader and group fit) plus its own module, which holds its fit and its
+model class: a new family means one table row and one module.
 fit(spec, ds, w) trains a model; every model exposes predict_batch
-(activity ids for a query matrix) and to_payload (JSON-serializable
-dict; model_from_payload reverses it). Fitting is deterministic given
-(spec, dataset, weights): randomized families draw everything from
-spec.seed. Weights are normalized to sum 1 before use, so uniformly
-rescaling them cannot change the fitted model; k-NN keeps the weights
-it was handed because they are part of its vote. fit_group fits one
-spec to several datasets at once (the folds of a cross-validation),
-each model the one its dataset alone gives.
+(activity ids for a query matrix), to_payload (JSON-serializable dict;
+model_from_payload reverses it) and check(n_features), which raises
+ValueError if a rebuilt model's arrays do not fit its class ids and
+n_features features, as those read from a model file may not. Fitting
+is deterministic given (spec, dataset, weights): randomized families
+draw everything from spec.seed. Weights are normalized to sum 1 before
+use, so uniformly rescaling them cannot change the fitted model; k-NN
+keeps the weights it was handed because they are part of its vote.
+fit_group fits one spec to several datasets at once (the folds of a
+cross-validation), each model the one its dataset alone gives.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -38,23 +44,6 @@ class Family(enum.Enum):
     QDA = "qda"
     LINEAR_REGRESSION_OVR = "linear-regression"
     VECTOR_LINEAR_REGRESSION = "vector-linear-regression"
-
-
-#: Human-readable names used in comparison reports.
-DISPLAY_NAMES = {
-    Family.KNN: "k-NN",
-    Family.DECISION_STUMP: "Decision Stump",
-    Family.DECISION_TREE: "Decision Tree",
-    Family.MULTIWAY_TREE: "Multiway Decision Tree",
-    Family.RANDOM_TREE: "Random Tree",
-    Family.RANDOM_FOREST: "Random Forest",
-    Family.NAIVE_BAYES: "Naive Bayes",
-    Family.KERNEL_NAIVE_BAYES: "Naive Bayes (Kernel)",
-    Family.LDA: "Linear Discriminant Analysis",
-    Family.QDA: "Quadratic Discriminant Analysis",
-    Family.LINEAR_REGRESSION_OVR: "Linear Regression",
-    Family.VECTOR_LINEAR_REGRESSION: "Vector Linear Regression",
-}
 
 
 @dataclass(frozen=True)
@@ -107,51 +96,8 @@ class LearnerSpec:
 
     def fit_weighted(self, ds: Dataset, w, seed: int | None = None):
         """Train this family on weighted data; seed overrides self.seed."""
-        seed = self.seed if seed is None else seed
-        if self.family in _TREE_FAMILIES:
-            return self._fit_trees([ds], [w], [seed])[0]
-        w = self._weights(ds, w)
-        fam = self.family
-        if fam is Family.KNN:
-            return knn.fit_knn(ds, w, self.k)
-        w = w / w.sum()
-        if fam is Family.NAIVE_BAYES:
-            return bayes.fit_gaussian_nb(ds, w)
-        if fam is Family.KERNEL_NAIVE_BAYES:
-            return bayes.fit_kernel_nb(ds, w)
-        if fam is Family.LDA:
-            return discriminant.fit_lda(ds, w, self.ridge)
-        if fam is Family.QDA:
-            return discriminant.fit_qda(ds, w, self.ridge)
-        if fam is Family.LINEAR_REGRESSION_OVR:
-            return regression.fit_linear(ds, w, self.ridge, joint=False)
-        if fam is Family.VECTOR_LINEAR_REGRESSION:
-            return regression.fit_linear(ds, w, self.ridge, joint=True)
-        raise ValueError(f"unknown family: {fam}")
-
-    def _weights(self, ds: Dataset, w) -> np.ndarray:
-        self.validate(ds.n_features)
-        return check_weights(w, ds.n_rows)
-
-    def _fit_trees(self, datasets, weights, seeds) -> list:
-        """A tree family's models for every (dataset, weights, seed),
-        grown through one grower per class set (see trees.fit_trees)."""
-        if len({ds.n_features for ds in datasets}) > 1:
-            raise ValueError("datasets fitted together need the same features")
-        weights = [w / w.sum() for w in map(self._weights, datasets, weights)]
-        fam = self.family
-        if fam is Family.RANDOM_FOREST:
-            return trees.fit_forests(
-                datasets, weights, seeds, self.trees, self.max_depth,
-                self.min_leaf_weight, self._subset(datasets[0]),
-            )
-        kind, depth, subset = _TREE_FAMILIES[fam], self.max_depth, None
-        if fam is Family.DECISION_STUMP:
-            depth = 1
-        elif fam is Family.RANDOM_TREE:
-            subset = self._subset(datasets[0])
-        return trees.fit_trees(datasets, weights, seeds, depth,
-                               self.min_leaf_weight, kind, self.bins, subset)
+        return fit_group(self, [ds], [w],
+                         [self.seed if seed is None else seed])[0]
 
     def _subset(self, ds: Dataset) -> int:
         if self.subset_size is not None:
@@ -166,14 +112,82 @@ class LearnerSpec:
         return {"family": self.family.value, **self.hyperparameters()}
 
 
-#: Tree families, with the payload kind of their trees.
-_TREE_FAMILIES = {
-    Family.DECISION_STUMP: "stump",
-    Family.DECISION_TREE: "tree",
-    Family.MULTIWAY_TREE: "multiway",
-    Family.RANDOM_TREE: "random",
-    Family.RANDOM_FOREST: "forest",
+@dataclass(frozen=True)
+class FamilyRow:
+    """A learner family's entry in FAMILIES. fit(spec, datasets, weights,
+    seeds) returns one model per dataset; the weights it gets are checked
+    and, unless raw_weights, normalized to sum 1."""
+
+    display_name: str  # its name in reports
+    payload: str       # the family its models' payloads carry and load by
+    loader: Callable   # payload dict -> model
+    fit: Callable
+    raw_weights: bool = False
+
+
+def _alone(fit) -> Callable:
+    """A group fit that fits each dataset by itself with fit(spec, ds, w)."""
+    return lambda spec, datasets, weights, seeds: [
+        fit(spec, ds, w) for ds, w in zip(datasets, weights)]
+
+
+#: Every learner family. The payload names are those of format-v1 model
+#: files. Each fit looks its function up in the family's module at call
+#: time, so that a function patched there is the one that runs.
+FAMILIES = {
+    Family.KNN: FamilyRow(
+        "k-NN", "knn", knn.model_from_payload,
+        _alone(lambda s, ds, w: knn.fit_knn(ds, w, s.k)), raw_weights=True),
+    Family.DECISION_STUMP: FamilyRow(
+        "Decision Stump", "stump", trees.model_from_payload,
+        lambda s, dss, ws, seeds: trees.fit_trees(
+            dss, ws, seeds, 1, s.min_leaf_weight, "stump")),
+    Family.DECISION_TREE: FamilyRow(
+        "Decision Tree", "tree", trees.model_from_payload,
+        lambda s, dss, ws, seeds: trees.fit_trees(
+            dss, ws, seeds, s.max_depth, s.min_leaf_weight, "tree")),
+    Family.MULTIWAY_TREE: FamilyRow(
+        "Multiway Decision Tree", "multiway", trees.model_from_payload,
+        lambda s, dss, ws, seeds: trees.fit_trees(
+            dss, ws, seeds, s.max_depth, s.min_leaf_weight, "multiway",
+            s.bins)),
+    Family.RANDOM_TREE: FamilyRow(
+        "Random Tree", "random", trees.model_from_payload,
+        lambda s, dss, ws, seeds: trees.fit_trees(
+            dss, ws, seeds, s.max_depth, s.min_leaf_weight, "random",
+            subset_size=s._subset(dss[0]))),
+    Family.RANDOM_FOREST: FamilyRow(
+        "Random Forest", "forest", trees.model_from_payload,
+        lambda s, dss, ws, seeds: trees.fit_forests(
+            dss, ws, seeds, s.trees, s.max_depth, s.min_leaf_weight,
+            s._subset(dss[0]))),
+    Family.NAIVE_BAYES: FamilyRow(
+        "Naive Bayes", "naive-bayes", bayes.gaussian_nb_from_payload,
+        _alone(lambda s, ds, w: bayes.fit_gaussian_nb(ds, w))),
+    Family.KERNEL_NAIVE_BAYES: FamilyRow(
+        "Naive Bayes (Kernel)", "kernel-naive-bayes",
+        bayes.kernel_nb_from_payload,
+        _alone(lambda s, ds, w: bayes.fit_kernel_nb(ds, w))),
+    Family.LDA: FamilyRow(
+        "Linear Discriminant Analysis", "lda", discriminant.lda_from_payload,
+        _alone(lambda s, ds, w: discriminant.fit_lda(ds, w, s.ridge))),
+    Family.QDA: FamilyRow(
+        "Quadratic Discriminant Analysis", "qda",
+        discriminant.qda_from_payload,
+        _alone(lambda s, ds, w: discriminant.fit_qda(ds, w, s.ridge))),
+    Family.LINEAR_REGRESSION_OVR: FamilyRow(
+        "Linear Regression", "linear-regression", regression.model_from_payload,
+        _alone(lambda s, ds, w: regression.fit_linear(ds, w, s.ridge,
+                                                      joint=False))),
+    Family.VECTOR_LINEAR_REGRESSION: FamilyRow(
+        "Vector Linear Regression", "vector-linear-regression",
+        regression.model_from_payload,
+        _alone(lambda s, ds, w: regression.fit_linear(ds, w, s.ridge,
+                                                      joint=True))),
 }
+
+_LOADERS = {row.payload: row.loader for row in FAMILIES.values()}
+_LOADERS["constant"] = constant.model_from_payload
 
 
 #: The LearnerSpec fields after family, in declaration order.
@@ -200,17 +214,26 @@ def fit(spec: LearnerSpec, ds: Dataset, w=None):
 
 
 def fit_group(spec, datasets, weights, seeds) -> list:
-    """spec.fit_weighted(ds, w, seed) of every (ds, w, seed), in order.
+    """The model of every (ds, w, seed), in order, trained by spec.
 
-    A tree family fits all the datasets at once: datasets with the same
-    class set grow their trees through one grower, and every model is
-    the one a fit of its dataset alone gives. Any other spec, including
-    duck-typed ones such as ConstantLearner, fits one dataset at a time.
+    A LearnerSpec fits through its family's row of FAMILIES: a tree
+    family fits all the datasets at once, datasets with the same class
+    set growing their trees through one grower, and every model is the
+    one a fit of its dataset alone gives. Any other spec, such as
+    ConstantLearner, fits one dataset at a time with its fit_weighted.
     """
-    if isinstance(spec, LearnerSpec) and spec.family in _TREE_FAMILIES:
-        return spec._fit_trees(datasets, weights, seeds)
-    return [spec.fit_weighted(ds, w, seed=seed)
-            for ds, w, seed in zip(datasets, weights, seeds, strict=True)]
+    if not isinstance(spec, LearnerSpec):
+        return [spec.fit_weighted(ds, w, seed=seed)
+                for ds, w, seed in zip(datasets, weights, seeds, strict=True)]
+    if len({ds.n_features for ds in datasets}) > 1:
+        raise ValueError("datasets fitted together need the same features")
+    row = FAMILIES[spec.family]
+    checked = []
+    for ds, w in zip(datasets, weights, strict=True):
+        spec.validate(ds.n_features)
+        w = check_weights(w, ds.n_rows)
+        checked.append(w if row.raw_weights else w / w.sum())
+    return row.fit(spec, datasets, checked, seeds)
 
 
 def predict(model, x) -> ActivityLabel:
@@ -221,27 +244,10 @@ def predict(model, x) -> ActivityLabel:
     return ActivityLabel(int(model.predict_batch(x[None, :])[0]))
 
 
-_PAYLOAD_LOADERS = {
-    "knn": knn.model_from_payload,
-    "stump": trees.model_from_payload,
-    "tree": trees.model_from_payload,
-    "multiway": trees.model_from_payload,
-    "random": trees.model_from_payload,
-    "forest": trees.model_from_payload,
-    "naive-bayes": bayes.gaussian_nb_from_payload,
-    "kernel-naive-bayes": bayes.kernel_nb_from_payload,
-    "lda": discriminant.lda_from_payload,
-    "qda": discriminant.qda_from_payload,
-    "linear-regression": regression.model_from_payload,
-    "vector-linear-regression": regression.model_from_payload,
-    "constant": constant.model_from_payload,
-}
-
-
 def model_from_payload(p: dict):
     """Rebuild any serialized model from its to_payload() dict."""
     try:
-        loader = _PAYLOAD_LOADERS[p["family"]]
+        loader = _LOADERS[p["family"]]
     except KeyError:
         raise ValueError(f"unknown model family in payload: {p.get('family')!r}")
     return loader(p)
@@ -249,7 +255,7 @@ def model_from_payload(p: dict):
 
 __all__ = [
     "ConstantLearner",
-    "DISPLAY_NAMES",
+    "FAMILIES",
     "Family",
     "HYPERPARAMETERS",
     "LearnerSpec",

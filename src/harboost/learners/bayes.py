@@ -9,8 +9,12 @@ import numpy as np
 from ..numerics import (
     LIKELIHOOD_FLOOR,
     VAR_FLOOR,
+    check_array,
+    check_per_class,
+    check_rows,
     gaussian_logpdf,
     silverman_bandwidth,
+    weighted_mean,
 )
 
 # (query x sample x feature) kernel cells a kernel-NB block scores at
@@ -42,16 +46,18 @@ class GaussianNbModel:
     means: np.ndarray    # (K, d)
     variances: np.ndarray  # (K, d), floored
 
-    @property
-    def n_features(self) -> int:
-        return self.means.shape[1]
-
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         scores = np.log(self.priors)[None, :] + gaussian_logpdf(
             X[:, None, :], self.means[None, :, :], self.variances[None, :, :]
         ).sum(axis=2)
         return self.class_ids[scores.argmax(axis=1)]
+
+    def check(self, n_features: int) -> None:
+        K = len(self.class_ids)
+        check_array("priors", self.priors, (K,), positive=True)
+        check_array("means", self.means, (K, n_features))
+        check_array("variances", self.variances, (K, n_features))
 
     def to_payload(self) -> dict:
         return {
@@ -77,9 +83,8 @@ def fit_gaussian_nb(ds, w) -> GaussianNbModel:
     means = np.empty((len(class_ids), ds.n_features))
     variances = np.empty_like(means)
     for i, (cw, X) in enumerate(groups):
-        mu = cw @ X / cw.sum()
-        var = cw @ (X - mu) ** 2 / cw.sum()
-        means[i] = mu
+        means[i] = weighted_mean(X, cw)
+        var = cw @ (X - means[i]) ** 2 / cw.sum()
         variances[i] = np.maximum(var, VAR_FLOOR)
     return GaussianNbModel(class_ids, priors, means, variances)
 
@@ -98,10 +103,6 @@ class KernelNbModel:
     sample_weights: tuple  # per class: (n_c,) normalized weights
     bandwidths: np.ndarray  # (K, d)
 
-    @property
-    def n_features(self) -> int:
-        return self.bandwidths.shape[1]
-
     def predict_batch(self, X) -> np.ndarray:
         return self.class_ids[self.log_scores(X).argmax(axis=1)]
 
@@ -117,7 +118,7 @@ class KernelNbModel:
         so a score does not depend on the block size.
         """
         X = np.asarray(X, dtype=np.float64)
-        d = self.n_features
+        d = self.bandwidths.shape[1]
         sizes = [s.shape[0] for s in self.samples]
         cells = max(sizes) * d
         block = max(1, min(X.shape[0], _BLOCK_CELLS // cells))
@@ -151,6 +152,17 @@ class KernelNbModel:
             np.log(dens, out=dens)
             scores[start:start + r] = log_priors + dens.sum(axis=2)
         return scores
+
+    def check(self, n_features: int) -> None:
+        K = len(self.class_ids)
+        check_array("priors", self.priors, (K,), positive=True)
+        check_array("bandwidths", self.bandwidths, (K, n_features),
+                    positive=True)
+        check_per_class("samples", self.samples, K)
+        check_per_class("sample_weights", self.sample_weights, K)
+        for c, (x, w) in enumerate(zip(self.samples, self.sample_weights)):
+            n_c = check_rows(f"samples[{c}]", x, n_features)
+            check_array(f"sample_weights[{c}]", w, (n_c,))
 
     def to_payload(self) -> dict:
         return {

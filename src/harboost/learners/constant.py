@@ -22,6 +22,10 @@ class ConstantModel:
         X = np.asarray(X)
         return np.full(X.shape[0], self.label, dtype=np.int64)
 
+    def check(self, n_features: int) -> None:
+        if self.label not in self.class_ids:
+            raise ValueError(f"label {self.label} is not among class_ids")
+
     def to_payload(self) -> dict:
         return {
             "family": "constant",

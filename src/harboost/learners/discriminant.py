@@ -17,9 +17,13 @@ import numpy as np
 from ..numerics import (
     VAR_FLOOR,
     auto_ridge,
+    check_array,
+    check_per_class,
     cholesky_factor,
     solve_lower,
     solve_spd,
+    weighted_covariance,
+    weighted_mean,
 )
 from .bayes import _class_partition
 
@@ -42,9 +46,8 @@ def _weighted_class_stats(ds, w, groups):
     masses = np.empty(len(groups))
     for i, (cw, X) in enumerate(groups):
         masses[i] = cw.sum()
-        mu = cw @ X / masses[i]
-        means[i] = mu
-        xc = X - mu
+        means[i] = weighted_mean(X, cw)
+        xc = X - means[i]
         pooled += (xc * cw[:, None]).T @ xc
     pooled /= w.sum()
     pooled = (pooled + pooled.T) / 2.0
@@ -58,14 +61,16 @@ class LdaModel:
     coef: np.ndarray       # (d, K): columns are S^-1 mu_c
     intercept: np.ndarray  # (K,)
 
-    @property
-    def n_features(self) -> int:
-        return self.coef.shape[0]
-
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         scores = X @ self.coef + self.intercept
         return self.class_ids[scores.argmax(axis=1)]
+
+    def check(self, n_features: int) -> None:
+        K = len(self.class_ids)
+        check_array("priors", self.priors, (K,), positive=True)
+        check_array("coef", self.coef, (n_features, K))
+        check_array("intercept", self.intercept, (K,))
 
     def to_payload(self) -> dict:
         return {
@@ -103,10 +108,6 @@ class QdaModel:
     factors: tuple                 # per class: lower Cholesky of S_c
     log_dets: np.ndarray           # (K,) ln|S_c|
 
-    @property
-    def n_features(self) -> int:
-        return self.means.shape[1]
-
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         scores = np.empty((X.shape[0], len(self.class_ids)))
@@ -117,6 +118,17 @@ class QdaModel:
                 -0.5 * self.log_dets[c] - 0.5 * quad + np.log(self.priors[c])
             )
         return self.class_ids[scores.argmax(axis=1)]
+
+    def check(self, n_features: int) -> None:
+        K, d = len(self.class_ids), n_features
+        check_array("priors", self.priors, (K,), positive=True)
+        check_array("means", self.means, (K, d))
+        check_array("log_dets", self.log_dets, (K,))
+        check_per_class("factors", self.factors, K)
+        for c, f in enumerate(self.factors):
+            check_array(f"factors[{c}]", f, (d, d))
+            check_array(f"factors[{c}] diagonal", np.diagonal(f), (d,),
+                        positive=True)
 
     def to_payload(self) -> dict:
         return {
@@ -150,9 +162,7 @@ def fit_qda(ds, w, ridge: float | None = None) -> QdaModel:
         if masses[i] < _MASS_FALLBACK * total:
             cov = pooled_cov
         else:
-            xc = X - means[i]
-            cov = (xc * cw[:, None]).T @ xc / masses[i]
-            cov = _floored((cov + cov.T) / 2.0, ridge)
+            cov = _floored(weighted_covariance(X, cw), ridge)
         L = cholesky_factor(cov)
         factors.append(L)
         log_dets[i] = 2.0 * np.log(np.diag(L)).sum()

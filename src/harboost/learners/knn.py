@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..numerics import check_array, check_rows
+
 _BLOCK = 1024
 
 
@@ -24,21 +26,29 @@ class KnnModel:
     k: int
     class_ids: np.ndarray  # ascending distinct ids present at fit time
 
-    @property
-    def n_features(self) -> int:
-        return self.rows.shape[1]
-
     def label_indices(self) -> np.ndarray:
         """Stored labels as compact indices into class_ids."""
         return np.searchsorted(self.class_ids, self.labels)
 
     def predict_batch(self, X) -> np.ndarray:
-        X = _check_queries(X, self.n_features)
+        X = _check_queries(X, self.rows.shape[1])
         table = neighbor_table(self.rows, X, self.k)
         scores = vote_scores(
             table, self.label_indices(), self.weights, len(self.class_ids)
         )
         return self.class_ids[scores.argmax(axis=1)]
+
+    def check(self, n_features: int) -> None:
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            # worded as a model file's type errors: k is a payload value
+            raise ValueError(f"model: k is {self.k!r}, not a JSON integer")
+        n = check_rows("rows", self.rows, n_features)
+        check_array("weights", self.weights, (n,))
+        if not np.isin(self.labels, self.class_ids).all():
+            raise ValueError("a row label is not among class_ids")
+        if self.labels.shape != (n,) or not 1 <= self.k <= n:
+            raise ValueError(f"{self.labels.size} labels and k={self.k} "
+                             f"for {n} stored rows")
 
     def to_payload(self) -> dict:
         return {

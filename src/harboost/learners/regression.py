@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import auto_ridge, cholesky_factor, solve_lower, solve_lower_t
+from ..numerics import (
+    auto_ridge,
+    check_array,
+    cholesky_factor,
+    solve_lower,
+    solve_lower_t,
+)
 
 
 @dataclass(frozen=True)
@@ -27,14 +33,13 @@ class LinearScoreModel:
     coef: np.ndarray  # (d+1, K), intercept row first
     kind: str         # "linear-regression" | "vector-linear-regression"
 
-    @property
-    def n_features(self) -> int:
-        return self.coef.shape[0] - 1
-
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         scores = self.coef[0][None, :] + X @ self.coef[1:]
         return self.class_ids[scores.argmax(axis=1)]
+
+    def check(self, n_features: int) -> None:
+        check_array("coef", self.coef, (n_features + 1, len(self.class_ids)))
 
     def to_payload(self) -> dict:
         return {

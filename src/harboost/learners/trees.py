@@ -186,6 +186,9 @@ class TreeModel:
     def predict_batch(self, X) -> np.ndarray:
         return self._flat.route(X)[0]
 
+    def check(self, n_features: int) -> None:
+        _check_split_features([self.root], n_features)
+
     def to_payload(self) -> dict:
         return {
             "family": self.kind,
@@ -210,6 +213,9 @@ class ForestModel:
         votes = np.bincount((np.arange(n) * k + leaf).ravel(),
                             minlength=n * k).reshape(n, k)
         return self.class_ids[votes.argmax(axis=1)]
+
+    def check(self, n_features: int) -> None:
+        _check_split_features([t.root for t in self.trees], n_features)
 
     def to_payload(self) -> dict:
         return {
@@ -276,17 +282,18 @@ def model_from_payload(p: dict):
     )
 
 
-def max_feature(model) -> int:
-    """Largest feature index any split of a tree or forest tests (-1: none)."""
-    if isinstance(model, ForestModel):
-        return max((max_feature(t) for t in model.trees), default=-1)
-    top, stack = -1, [model.root]
+def _check_split_features(roots, n_features: int) -> None:
+    """Reject trees with a split on a feature beyond n_features; the rest
+    of a tree payload is checked as it is rebuilt."""
+    stack, top = list(roots), -1
     while stack:
         node = stack.pop()
         if isinstance(node, SplitNode):
             top = max(top, node.feature)
             stack.extend(node.children)
-    return top
+    if top >= n_features:
+        raise ValueError(f"a split tests feature {top}, but the model has "
+                         f"{n_features} features")
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,6 @@ from .learners import (
     spec_from_payload,
     value_type,
 )
-from .learners.bayes import GaussianNbModel, KernelNbModel
-from .learners.constant import ConstantModel
-from .learners.discriminant import LdaModel, QdaModel
-from .learners.knn import KnnModel
-from .learners.regression import LinearScoreModel
-from .learners.trees import ForestModel, TreeModel, max_feature
 
 FORMAT_VERSION = 1
 _KIND = "harboost.model"
@@ -60,7 +54,7 @@ def save_model(path, ensemble: BoostedEnsemble, feature_names,
     rounds = []
     for r in ensemble.rounds:
         payload = r.model.to_payload()
-        if payload["family"] == "knn":
+        if "rows" in payload:
             if shared_rows is None:
                 shared_rows = payload["rows"]
             if payload["rows"] == shared_rows:
@@ -115,89 +109,6 @@ def _check_spec(p, where: str) -> None:
         if p[f.name] is not None or f.default is not None:
             kind = "number" if value_type(f) is float else "integer"
             _require_type(p[f.name], kind, f"{where}: {f.name}")
-
-
-def _check_arrays(model, d: int, where: str) -> None:
-    """Reject a model whose arrays do not fit its class ids and d features.
-
-    Such a model would load and then fail or mislabel rows in predict.
-    Trees are checked as they are rebuilt and against max_feature.
-    """
-    K = len(model.class_ids)
-
-    def expect(name, a, shape, positive=False):
-        a = np.asarray(a)
-        if a.dtype.kind not in "fi":
-            raise ModelFormatError(f"{where}: {name} is not numeric")
-        if a.shape != shape:
-            raise ModelFormatError(
-                f"{where}: {name} has shape {a.shape}, expected {shape}"
-            )
-        bad = ~np.isfinite(a) | ((a <= 0) if positive else False)
-        if bad.any():
-            raise ModelFormatError(
-                f"{where}: {name} holds {a[bad].flat[0]}, expected finite "
-                f"values{' above 0' if positive else ''}"
-            )
-
-    def row_count(name, a) -> int:
-        shape = np.shape(a)
-        if len(shape) != 2 or shape[0] == 0:
-            raise ModelFormatError(
-                f"{where}: {name} has shape {shape}, expected (rows >= 1, {d})"
-            )
-        return shape[0]
-
-    def per_class(name, arrays) -> None:
-        if len(arrays) != K:
-            raise ModelFormatError(
-                f"{where}: {len(arrays)} {name} for {K} class_ids"
-            )
-
-    if isinstance(model, (GaussianNbModel, KernelNbModel, LdaModel, QdaModel)):
-        expect("priors", model.priors, (K,), positive=True)
-    if isinstance(model, GaussianNbModel):
-        expect("means", model.means, (K, d))
-        expect("variances", model.variances, (K, d))
-    elif isinstance(model, KernelNbModel):
-        expect("bandwidths", model.bandwidths, (K, d), positive=True)
-        per_class("samples", model.samples)
-        per_class("sample_weights", model.sample_weights)
-        for c, (x, w) in enumerate(zip(model.samples, model.sample_weights)):
-            n_c = row_count(f"samples[{c}]", x)
-            expect(f"samples[{c}]", x, (n_c, d))
-            expect(f"sample_weights[{c}]", w, (n_c,))
-    elif isinstance(model, LdaModel):
-        expect("coef", model.coef, (d, K))
-        expect("intercept", model.intercept, (K,))
-    elif isinstance(model, QdaModel):
-        expect("means", model.means, (K, d))
-        expect("log_dets", model.log_dets, (K,))
-        per_class("factors", model.factors)
-        for c, f in enumerate(model.factors):
-            expect(f"factors[{c}]", f, (d, d))
-            expect(f"factors[{c}] diagonal", np.diagonal(f), (d,),
-                   positive=True)
-    elif isinstance(model, LinearScoreModel):
-        expect("coef", model.coef, (d + 1, K))
-    elif isinstance(model, KnnModel):
-        n = row_count("rows", model.rows)
-        expect("rows", model.rows, (n, d))
-        expect("weights", model.weights, (n,))
-        if not np.isin(model.labels, model.class_ids).all():
-            raise ModelFormatError(
-                f"{where}: a row label is not among class_ids"
-            )
-        if model.labels.shape != (n,) or not 1 <= model.k <= n:
-            raise ModelFormatError(
-                f"{where}: {model.labels.size} labels and k={model.k} "
-                f"for {n} stored rows"
-            )
-    elif isinstance(model, ConstantModel):
-        if model.label not in model.class_ids:
-            raise ModelFormatError(
-                f"{where}: label {model.label} is not among class_ids"
-            )
 
 
 def load_model(path) -> LoadedModel:
@@ -259,13 +170,10 @@ def load_model(path) -> LoadedModel:
             raise ModelFormatError(f"{where}: non-finite alpha {alpha}")
         payload = r["model"]
         _require_keys(payload, ("family",), f"{where}: model")
-        if payload["family"] == "knn":
-            _require_type(payload.get("k"), "integer", f"{where}: model: k")
-            if isinstance(payload.get("rows"), str):
-                if payload["rows"] != "shared" or shared is None:
-                    raise ModelFormatError(
-                        f"{path}: dangling shared-rows reference")
-                payload = {**payload, "rows": shared}
+        if isinstance(payload.get("rows"), str):
+            if payload["rows"] != "shared" or shared is None:
+                raise ModelFormatError(f"{path}: dangling shared-rows reference")
+            payload = {**payload, "rows": shared}
         try:
             model = model_from_payload(payload)
         except (ValueError, TypeError, KeyError) as e:
@@ -276,15 +184,10 @@ def load_model(path) -> LoadedModel:
                 f"{where}: model class_ids {ids.tolist()} are not among "
                 f"the file's class_ids"
             )
-        if isinstance(model, (TreeModel, ForestModel)):
-            top = max_feature(model)
-            if top >= n_features:
-                raise ModelFormatError(
-                    f"{where}: a split tests feature {top}, but the "
-                    f"model has {n_features} features"
-                )
-        else:
-            _check_arrays(model, n_features, where)
+        try:  # a model that would load, then fail or mislabel in predict
+            model.check(n_features)
+        except ValueError as e:
+            raise ModelFormatError(f"{where}: {e}") from None
         rounds.append(BoostRound(model, alpha, epsilon))
     try:
         spec = spec_from_payload(doc["base_spec"])

@@ -1,4 +1,5 @@
-"""Weighted statistics and small dense SPD linear algebra for the learners."""
+"""Weighted statistics, small dense SPD linear algebra and array checks
+for the learners."""
 
 from __future__ import annotations
 
@@ -29,6 +30,37 @@ def check_weights(w, n: int) -> np.ndarray:
     if w.sum() <= 0:
         raise ValueError("total weight must be positive")
     return w
+
+
+def check_array(name: str, a, shape, positive: bool = False) -> None:
+    """Raise ValueError unless a is a numeric array of this shape whose
+    values are finite (and above 0 if positive)."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "fi":
+        raise ValueError(f"{name} is not numeric")
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    bad = ~np.isfinite(a) | ((a <= 0) if positive else False)
+    if bad.any():
+        raise ValueError(
+            f"{name} holds {a[bad].flat[0]}, expected finite "
+            f"values{' above 0' if positive else ''}"
+        )
+
+
+def check_rows(name: str, a, d: int) -> int:
+    """The row count of a, which must be a finite (rows >= 1, d) matrix."""
+    shape = np.shape(a)
+    if len(shape) != 2 or shape[0] == 0:
+        raise ValueError(f"{name} has shape {shape}, expected (rows >= 1, {d})")
+    check_array(name, a, (shape[0], d))
+    return shape[0]
+
+
+def check_per_class(name: str, arrays, num_classes: int) -> None:
+    """Raise ValueError unless there is one of arrays per class."""
+    if len(arrays) != num_classes:
+        raise ValueError(f"{len(arrays)} {name} for {num_classes} class_ids")
 
 
 def weighted_mean(xs, w) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harboost.cli import main
@@ -168,6 +169,26 @@ def test_single_class_data_exit_3(capsys, tiny_csv, tmp_path, command):
     code, _, stderr = run(capsys, [command, "--from-csv", str(one), *extra])
     assert code == 3
     assert "at least 2 classes" in stderr
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_fold_training_set_of_one_class_exit_3(capsys, tiny_csv, tmp_path,
+                                               command):
+    # two classes, but the second has one row: the fold holding it trains
+    # on the first class alone, and boosting it exited 4
+    ds = load_csv(tiny_csv)
+    first, second = sorted(set(ds.labels.tolist()))[:2]
+    rows = [*np.flatnonzero(ds.labels == first)[:7],
+            np.flatnonzero(ds.labels == second)[0]]
+    rare = tmp_path / "rare.csv"
+    save_csv(ds.subset(np.array(rows)), str(rare))
+    code, stdout, stderr = run(capsys, [command, "--from-csv", str(rare),
+                                        "--folds", "2", "--k", "3"])
+    assert code == 3
+    assert stdout == ""
+    # the 7 rows are dealt to folds 0, 1, ..., 0, so the lone row is in fold 1
+    assert (f"at least 2 classes in every training set, but fold 1's holds "
+            f"only class {first}") in stderr
 
 
 def test_value_error_inside_a_fit_exits_4(capsys, tiny_csv, monkeypatch):

@@ -215,7 +215,7 @@ def test_dead_worker_exits_4_with_internal_error(capsys, monkeypatch, tmp_path,
 
     csv = str(tmp_path / "blobs.csv")
     save_csv(blobs4, csv)
-    monkeypatch.setattr(evaluation, "boost_fit", die)
+    monkeypatch.setattr(evaluation, "boost_fit_folds", die)
     code = main(["evaluate", "--from-csv", csv, "--folds", "3", "--rounds", "1",
                  "--threads", "2"])
     assert code == 4
@@ -258,4 +258,4 @@ def test_ctrl_c_stops_the_pool_without_hanging():
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
     assert proc.returncode == 130, stderr
-    assert "Traceback" not in stderr
+    assert "Traceback" not in stderr, stderr
