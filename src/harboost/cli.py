@@ -23,7 +23,6 @@ from .dataset import (
     load_csv,
     load_feature_csv,
     save_csv,
-    stratified_folds,
     summarize_by_activity,
 )
 from .evaluation import compare, cross_validate
@@ -150,8 +149,8 @@ def _spec_from_args(args, family: Family | None = None) -> LearnerSpec:
 
 def _validate_run(args, specs, ds: Dataset, needs_folds: bool) -> None:
     """Raise CliError listing every flag that cannot run on ds (for the
-    first spec that has one), or DataError if ds or, with needs_folds,
-    the training set of one of its folds has fewer than 2 classes."""
+    first spec that has one), or DataError if ds has fewer than 2
+    classes (cross-validation checks each fold's training set)."""
     if len(ds.class_counts()) < 2:
         raise DataError("boosting needs at least 2 classes in the data")
     common = []
@@ -180,15 +179,6 @@ def _validate_run(args, specs, ds: Dataset, needs_folds: bool) -> None:
                             f"of the smallest training set")
         if problems:
             raise CliError("invalid configuration:\n  " + "\n  ".join(problems))
-    if needs_folds:  # the assignment cross_validate and compare use
-        assignment = stratified_folds(ds, args.folds, args.seed)
-        for f in range(args.folds):
-            classes = set(ds.labels[assignment.train_rows(f)].tolist())
-            if len(classes) < 2:
-                raise DataError(
-                    f"boosting needs at least 2 classes in every training "
-                    f"set, but fold {f}'s holds only class {classes.pop()}"
-                )
 
 
 def _effective_config(args, spec: LearnerSpec, source: dict) -> dict:

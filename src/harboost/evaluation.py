@@ -9,6 +9,7 @@ that order restricted to the classes present.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import signal
@@ -21,6 +22,7 @@ from .boosting import boost_fit_folds, boost_predict_batch
 from .dataset import (
     REPORT_CLASS_ORDER,
     ActivityLabel,
+    DataError,
     Dataset,
     FoldAssignment,
     stratified_folds,
@@ -196,8 +198,25 @@ def _init_worker(job: _CVJob) -> None:
     global _worker_job
     _worker_job = job
     # Ctrl-C reaches the whole process group: a worker ends at once and
-    # the parent, which gets KeyboardInterrupt, cancels the pool.
+    # the parent, which gets KeyboardInterrupt, cancels the pool. One
+    # held back since the fork (_sigint_held) ends the worker here.
     signal.signal(signal.SIGINT, signal.SIG_DFL)
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+
+@contextlib.contextmanager
+def _sigint_held():
+    """Hold a Ctrl-C back in this thread and the processes it starts
+    until the block ends (Windows has no signal masks)."""
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _worker_task(spec_index: int, folds):
@@ -236,8 +255,9 @@ def _run_tasks(job: _CVJob, tasks, workers: int) -> list:
         max_workers=workers, mp_context=_pool_context(),
         initializer=_init_worker, initargs=(job,),
     ) as pool:
-        futures = [pool.submit(_worker_task, i, f) for i, f in tasks]
         try:
+            with _sigint_held():  # the workers start inside submit
+                futures = [pool.submit(_worker_task, i, f) for i, f in tasks]
             return [fut.result() for fut in futures]
         except BaseException:
             pool.shutdown(cancel_futures=True)
@@ -267,7 +287,15 @@ def _cross_validate_all(specs, ds, folds, rounds, seed, assignment,
                         threads) -> list[CVResult]:
     """Cross-validate every spec on one fold assignment, running all
     (spec, fold group) tasks through one executor. With one worker a
-    spec's folds form one group; with N workers, N groups."""
+    spec's folds form one group; with N workers, N groups. Raises
+    DataError if a fold's training set holds a single class."""
+    for f in range(folds):
+        classes = set(ds.labels[assignment.train_rows(f)].tolist())
+        if len(classes) < 2:
+            raise DataError(
+                f"boosting needs at least 2 classes in every training "
+                f"set, but fold {f}'s holds only class {classes.pop()}"
+            )
     labels = report_order(np.unique(ds.labels))
     job = _CVJob(tuple(specs), ds, assignment, rounds, seed, labels)
     workers = worker_count(threads, len(specs) * folds, _available_cpus())

@@ -49,8 +49,11 @@ step, and grows faster the more trees grow beside it. Each tree has its
 own stream and its own minimum leaf mass. Trees share a grower only
 when their datasets have the same class set, so that every tree sums
 its masses over the class axis it would have alone (see _class_groups).
-Prediction routes rows through flat node arrays, all trees of a forest
-in one pass.
+
+A fitted tree is its node arrays (TreeModel), made straight from the
+grower's nodes or parsed from a payload; prediction routes rows through
+them without recursion, and a forest joins its trees' arrays once to
+route all its trees in one pass.
 """
 
 from __future__ import annotations
@@ -87,113 +90,74 @@ _GROW_ROWS = 1 << 16
 _TILE_CELLS = 4096
 
 
-# Slotted: cross-validation keeps every fold's trees until all folds
-# finish boosting, so nodes stay small.
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    label: int  # activity id
-
-
-@dataclass(frozen=True, slots=True)
-class SplitNode:
-    feature: int
-    thresholds: tuple[float, ...]  # sorted; len 1 for binary splits
-    children: tuple
-
-
 @dataclass(frozen=True)
-class _FlatTrees:
-    """Trees as node arrays, for routing without recursion.
+class TreeModel:
+    """A fitted tree as node arrays; node 0 is the root.
 
-    Node v tests feature[v]: a value moves to children[v, i], where i
-    counts the thresholds[v] that are not >= the value (np.searchsorted's
+    Split node v tests feature[v]: a value moves to children[v, i], where
+    i counts the thresholds[v] that are not >= the value (np.searchsorted's
     "left" position; thresholds are padded with +inf, and the padding of
-    children repeats the last child). A leaf has only +inf thresholds and
-    points at itself, so `depth` moves take every row to its leaf.
+    children repeats the last child). A leaf has feature -1, only +inf
+    thresholds and itself as every child, and predicts leaf[v], a class
+    id (0 at split nodes). depth moves take every row to its leaf.
     """
 
     feature: np.ndarray  # (nodes,)
     thresholds: np.ndarray  # (nodes, W)
     children: np.ndarray  # (nodes, W + 1)
-    value: np.ndarray  # (nodes,) leaf value
-    roots: np.ndarray  # (trees,)
+    leaf: np.ndarray  # (nodes,)
     depth: int
+    class_ids: np.ndarray
+    kind: str  # "stump" | "tree" | "multiway" | "random"
 
-    @classmethod
-    def build(cls, roots, leaf_value) -> _FlatTrees:
-        """Number the nodes of the trees at roots breadth-first."""
-        order = [(root, 0) for root in roots]
-        first_child = []
-        for node, depth in order:
-            first_child.append(len(order))
-            if isinstance(node, SplitNode):
-                order.extend((c, depth + 1) for c in node.children)
-        nodes = [node for node, _ in order]
-        is_split = np.array([isinstance(v, SplitNode) for v in nodes])
-        splits = [v for v in nodes if isinstance(v, SplitNode)]
-        k = np.array([len(v.thresholds) for v in splits], dtype=np.int64)
-        width = int(k.max()) if splits else 1
-        size = len(nodes)
-        feature = np.zeros(size, dtype=np.int64)
-        feature[is_split] = [v.feature for v in splits]
-        thresholds = np.full((size, width), np.inf)
-        at = np.flatnonzero(is_split)
-        slot = np.arange(k.sum()) - np.repeat(k.cumsum() - k, k)
-        thresholds[np.repeat(at, k), slot] = [t for v in splits
-                                              for t in v.thresholds]
-        children = np.repeat(np.arange(size, dtype=np.int64)[:, None],
-                             width + 1, axis=1)
-        children[at] = (np.array(first_child, dtype=np.int64)[at, None]
-                        + np.minimum(np.arange(width + 1), k[:, None]))
-        value = np.zeros(size, dtype=np.int64)
-        value[~is_split] = [leaf_value(v.label) for v in nodes
-                            if not isinstance(v, SplitNode)]
-        return cls(feature, thresholds, children, value,
-                   np.arange(len(roots), dtype=np.int64),
-                   max(depth for _, depth in order))
-
-    def route(self, X) -> np.ndarray:
-        """Leaf value of every (tree, row) pair."""
+    def _route(self, X, roots=(0,)) -> np.ndarray:
+        """The leaf of every (root, row) pair."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         n, d = X.shape
-        if int(self.feature.max()) >= d:
-            raise IndexError(
-                f"a split tests feature {int(self.feature.max())}, but X has "
-                f"{d} columns"
-            )
+        top = int(self.feature.max())
+        if top >= d:
+            raise IndexError(f"a split tests feature {top}, but X has {d} "
+                             f"columns")
         cells = X.ravel()
         base = np.arange(n) * d
         width = self.thresholds.shape[1]
-        at = np.repeat(self.roots[:, None], n, axis=1)
+        at = np.repeat(np.array(roots)[:, None], n, axis=1)
         for _ in range(self.depth):
+            # a leaf's feature, -1, reads a cell it then ignores
             x = cells[base + self.feature[at]]
             # NaN is >= no threshold, so it goes last, as searchsorted has it
             below = width - (x[..., None] <= self.thresholds[at]).sum(axis=-1)
             at = self.children[at, below]
-        return self.value[at]
-
-
-@dataclass(frozen=True)
-class TreeModel:
-    root: object
-    class_ids: np.ndarray
-    kind: str  # "stump" | "tree" | "multiway" | "random"
-
-    @functools.cached_property
-    def _flat(self) -> _FlatTrees:
-        return _FlatTrees.build([self.root], int)
+        return at
 
     def predict_batch(self, X) -> np.ndarray:
-        return self._flat.route(X)[0]
+        return self.leaf[self._route(X)[0]]
 
     def check(self, n_features: int) -> None:
-        _check_split_features([self.root], n_features)
+        """Reject a split on a feature beyond n_features; the rest of a
+        tree payload is checked as it is parsed."""
+        top = int(self.feature.max())
+        if top >= n_features:
+            raise ValueError(f"a split tests feature {top}, but the model "
+                             f"has {n_features} features")
 
     def to_payload(self) -> dict:
+        feature, leaf = self.feature.tolist(), self.leaf.tolist()
+        cuts = [[t for t in row if t != math.inf]
+                for row in self.thresholds.tolist()]
+        children = self.children.tolist()
+
+        def node(v):
+            if feature[v] < 0:
+                return {"leaf": leaf[v]}
+            return {"feature": feature[v], "thresholds": cuts[v],
+                    "children": [node(c)
+                                 for c in children[v][:len(cuts[v]) + 1]]}
+
         return {
             "family": self.kind,
             "class_ids": self.class_ids.tolist(),
-            "root": _node_payload(self.root),
+            "root": node(0),
         }
 
 
@@ -203,19 +167,40 @@ class ForestModel:
     class_ids: np.ndarray
 
     @functools.cached_property
-    def _flat(self) -> _FlatTrees:
+    def _joined(self) -> tuple[TreeModel, np.ndarray]:
+        """All trees as one TreeModel whose leaves hold indexes into
+        class_ids, and each tree's root in it, to route in one pass."""
+        width = max(t.thresholds.shape[1] for t in self.trees)
+        roots = np.cumsum([0] + [t.feature.size for t in self.trees[:-1]])
+        pads = [((0, 0), (0, width - t.thresholds.shape[1]))
+                for t in self.trees]
         index = {c: i for i, c in enumerate(self.class_ids.tolist())}
-        return _FlatTrees.build([t.root for t in self.trees], index.__getitem__)
+        leaf = np.concatenate([t.leaf for t in self.trees]).tolist()
+        return TreeModel(
+            np.concatenate([t.feature for t in self.trees]),
+            np.concatenate([np.pad(t.thresholds, p, constant_values=np.inf)
+                            for t, p in zip(self.trees, pads)]),
+            np.concatenate([np.pad(t.children, p, mode="edge") + r
+                            for t, p, r in zip(self.trees, pads, roots)]),
+            # a split node's leaf (0) is never read
+            np.array([index.get(c, 0) for c in leaf], dtype=np.int64),
+            max(t.depth for t in self.trees), self.class_ids, "forest",
+        ), roots
 
     def predict_batch(self, X) -> np.ndarray:
-        leaf = self._flat.route(X)
+        joined, roots = self._joined
+        leaf = joined.leaf[joined._route(X, roots)]
         n, k = leaf.shape[1], len(self.class_ids)
         votes = np.bincount((np.arange(n) * k + leaf).ravel(),
                             minlength=n * k).reshape(n, k)
         return self.class_ids[votes.argmax(axis=1)]
 
     def check(self, n_features: int) -> None:
-        _check_split_features([t.root for t in self.trees], n_features)
+        # the tree that splits on the largest feature names it
+        widest = max(self.trees, key=lambda t: int(t.feature.max()),
+                     default=None)
+        if widest is not None:
+            widest.check(n_features)
 
     def to_payload(self) -> dict:
         return {
@@ -225,47 +210,9 @@ class ForestModel:
         }
 
 
-def _node_payload(node) -> dict:
-    if isinstance(node, Leaf):
-        return {"leaf": int(node.label)}
-    return {
-        "feature": int(node.feature),
-        "thresholds": [float(t) for t in node.thresholds],
-        "children": [_node_payload(c) for c in node.children],
-    }
-
-
-def _node_from_payload(p, labels: set[int]) -> object:
-    """Rebuild a node, rejecting structures that cannot route every row."""
-    if "leaf" in p:
-        label = int(p["leaf"])
-        if label not in labels:
-            raise ValueError(f"leaf label {label} is not among class_ids")
-        return Leaf(label)
-    feature = int(p["feature"])
-    if feature < 0:
-        raise ValueError(f"split feature {feature} is negative")
-    thresholds = tuple(float(t) for t in p["thresholds"])
-    if not all(math.isfinite(t) for t in thresholds) or any(
-        a >= b for a, b in zip(thresholds, thresholds[1:])
-    ):
-        raise ValueError(
-            f"split thresholds {list(thresholds)} are not finite and "
-            f"strictly increasing"
-        )
-    children = p["children"]
-    if len(children) != len(thresholds) + 1:
-        raise ValueError(
-            f"{len(thresholds)} split thresholds need "
-            f"{len(thresholds) + 1} children, found {len(children)}"
-        )
-    return SplitNode(
-        feature, thresholds,
-        tuple(_node_from_payload(c, labels) for c in children),
-    )
-
-
 def model_from_payload(p: dict):
+    """Rebuild a tree (its nodes numbered in preorder) or a forest,
+    rejecting structures that cannot route every row."""
     class_ids = np.array(p["class_ids"], dtype=np.int64)
     if p["family"] == "forest":
         forest = ForestModel(
@@ -275,25 +222,49 @@ def model_from_payload(p: dict):
             if not np.isin(tree.class_ids, class_ids).all():
                 raise ValueError("a forest tree has class ids outside the forest's")
         return forest
+    labels = set(class_ids.tolist())
+    nodes = []  # (feature, thresholds, children, leaf, depth)
+
+    def add(node, depth: int) -> int:
+        v = len(nodes)
+        if "leaf" in node:
+            label = int(node["leaf"])
+            if label not in labels:
+                raise ValueError(f"leaf label {label} is not among class_ids")
+            nodes.append((-1, (), [v], label, depth))
+            return v
+        feature = int(node["feature"])
+        if feature < 0:
+            raise ValueError(f"split feature {feature} is negative")
+        thresholds = tuple(float(t) for t in node["thresholds"])
+        if not all(math.isfinite(t) for t in thresholds) or any(
+            a >= b for a, b in zip(thresholds, thresholds[1:])
+        ):
+            raise ValueError(
+                f"split thresholds {list(thresholds)} are not finite and "
+                f"strictly increasing"
+            )
+        children = node["children"]
+        if len(children) != len(thresholds) + 1:
+            raise ValueError(
+                f"{len(thresholds)} split thresholds need "
+                f"{len(thresholds) + 1} children, found {len(children)}"
+            )
+        ids = []
+        nodes.append((feature, thresholds, ids, 0, depth))
+        ids.extend(add(c, depth + 1) for c in children)
+        return v
+
+    add(p["root"], 0)
+    feature, thresholds, children, leaf, depth = zip(*nodes)
+    width = max(1, *map(len, thresholds))
     return TreeModel(
-        _node_from_payload(p["root"], set(class_ids.tolist())),
-        class_ids,
-        p["family"],
+        np.array(feature, dtype=np.int64),
+        np.array([t + (math.inf,) * (width - len(t)) for t in thresholds]),
+        np.array([c + c[-1:] * (width + 1 - len(c)) for c in children],
+                 dtype=np.int64),
+        np.array(leaf, dtype=np.int64), max(depth), class_ids, p["family"],
     )
-
-
-def _check_split_features(roots, n_features: int) -> None:
-    """Reject trees with a split on a feature beyond n_features; the rest
-    of a tree payload is checked as it is rebuilt."""
-    stack, top = list(roots), -1
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SplitNode):
-            top = max(top, node.feature)
-            stack.extend(node.children)
-    if top >= n_features:
-        raise ValueError(f"a split tests feature {top}, but the model has "
-                         f"{n_features} features")
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +382,13 @@ class _Grower:
         self.start, self.size, self.depth, self.tree = [], [], [], []
         self.min_leaf = None  # per tree: nodes at or below this mass stop
         self.label = []  # class index with the largest mass
-        self.splits = {}  # node -> (feature, thresholds, child node ids)
+        # per batch of split nodes: their ids, features, thresholds and
+        # child ids, both padded as in TreeModel
+        self.splits = []
 
-    def grow(self, bounds, min_leaf, prngs=None) -> list[int]:
-        """Grow one tree on each (lo, hi) row range; return the root ids.
+    def grow(self, bounds, min_leaf, prngs=None) -> None:
+        """Grow one tree on each (lo, hi) row range; tree t's root is
+        node t.
 
         bounds must cover the rows in order. A node of tree t stops at a
         weight mass of at most min_leaf[t]. With prngs, tree t draws its
@@ -425,7 +399,7 @@ class _Grower:
             self.A[:, lo:hi] = lo + np.argsort(self.XT[:, lo:hi], axis=1,
                                                kind="stable")
         sizes = [hi - lo for lo, hi in bounds]
-        roots, todo = self._admit(
+        _, todo = self._admit(
             self.A[0], np.repeat(np.arange(len(bounds)), sizes),
             [lo for lo, _ in bounds], sizes, [0] * len(bounds),
             list(range(len(bounds))),
@@ -437,14 +411,11 @@ class _Grower:
                 level, todo = todo, []
                 for chunk in self._chunks(level, d):
                     todo += self._step(chunk, np.tile(feats, (len(chunk), 1)))
-            return list(roots)
+            return
         stacks = [[] for _ in bounds]
         for v in reversed(todo):
             stacks[self.tree[v]].append(v)
-        while True:
-            batch = [s.pop() for s in stacks if s]
-            if not batch:
-                return list(roots)
+        while batch := [s.pop() for s in stacks if s]:
             m = self.p.subset_size
             feats = {v: sorted(prngs[self.tree[v]].sample_indices(d, m))
                      for v in batch}
@@ -565,11 +536,9 @@ class _Grower:
             [self.depth[v] + 1 for v in parents],
             [self.tree[v] for v in parents],
         )
-        c = 0
-        for v, f, t, k in zip(nodes, feats.ravel()[win].tolist(),
-                              thresholds.tolist(), fanout):
-            self.splits[v] = (f, tuple(t[:k - 1]), ids[c:c + k])
-            c += k
+        kids = np.minimum(np.arange(thresholds.shape[1] + 1), n_thr[:, None])
+        self.splits.append((nodes, feats.ravel()[win], thresholds,
+                            ids.start + first_child[:, None] + kids))
         return todo
 
     def _mass_scores(self, sub):
@@ -695,18 +664,30 @@ class _Grower:
         return (np.isfinite(scores.min(axis=1)), win, thresholds,
                 np.where(used, ends[win[:, None], chosen], n), counts[combo])
 
-    def nodes(self, class_ids) -> list:
-        """Every grown node as a Leaf or SplitNode, leaves as activity
-        ids; leaves of one class are one shared (immutable) Leaf."""
-        leaves = [Leaf(label) for label in class_ids.tolist()]
-        built = [None] * len(self.label)
-        for v in range(len(built) - 1, -1, -1):
-            if v in self.splits:
-                f, t, kids = self.splits[v]
-                built[v] = SplitNode(f, t, tuple(built[c] for c in kids))
-            else:
-                built[v] = leaves[self.label[v]]
-        return built
+    def trees(self, class_ids) -> list[tuple]:
+        """The node arrays of every grown tree (see TreeModel), leaves as
+        activity ids. A tree keeps its nodes in creation order, so its
+        root, node t of tree t, comes first."""
+        n = len(self.label)
+        # every batch pads to one width: 1, or bins - 1 for multiway
+        width = self.splits[0][2].shape[1] if self.splits else 1
+        feature = np.full(n, -1, dtype=np.int64)
+        thresholds = np.full((n, width), np.inf)
+        children = np.repeat(np.arange(n)[:, None], width + 1, axis=1)
+        for nodes, f, t, kids in self.splits:
+            feature[nodes], thresholds[nodes], children[nodes] = f, t, kids
+        tree = np.array(self.tree)
+        order = np.argsort(tree, kind="stable")
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        children = pos[children] - pos[tree][:, None]  # ids within a tree
+        leaf = np.where(feature < 0, class_ids[self.label], 0)
+        depth = np.array(self.depth)
+        return [
+            (feature[rows], thresholds[rows], children[rows], leaf[rows],
+             int(depth[rows].max()))
+            for rows in np.split(order, pos[1:self.min_leaf.size])
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +714,12 @@ def _class_groups(datasets) -> list[tuple[np.ndarray, list[int]]]:
 def _grow_together(class_ids, blocks, params, prngs=None):
     """Grow one tree per (dataset, rows, weights, min_leaf_weight) block,
     each on the dataset's rows (an index array or a slice) as a row range
-    of its own; return every grown node (see _Grower.nodes) and the
-    trees' root ids. The blocks share a grower in as few contiguous runs
-    as keep each near _GROW_ROWS rows, which bounds a grower's arrays."""
+    of its own; return each tree's node arrays (see _Grower.trees), in
+    block order. The blocks share a grower in as few contiguous runs as
+    keep each near _GROW_ROWS rows, which bounds a grower's arrays."""
     total = sum(ds.labels[rows].size for ds, rows, _, _ in blocks)
     runs = min(len(blocks), -(-total // _GROW_ROWS))
-    nodes, roots = [], []
+    trees = []
     for run in np.array_split(np.arange(len(blocks)), runs):
         part = [blocks[i] for i in run]
         labels = [ds.labels[rows] for ds, rows, _, _ in part]
@@ -751,14 +732,13 @@ def _grow_together(class_ids, blocks, params, prngs=None):
             np.concatenate([w for _, _, w, _ in part]),
             len(class_ids), params,
         )
-        run_roots = grower.grow(
+        grower.grow(
             list(zip((ends - sizes).tolist(), ends.tolist())),
             [m for _, _, _, m in part],
             None if prngs is None else [prngs[i] for i in run],
         )
-        roots += [len(nodes) + r for r in run_roots]
-        nodes += grower.nodes(class_ids)
-    return nodes, roots
+        trees += grower.trees(class_ids)
+    return trees
 
 
 def fit_trees(datasets, weights, seeds, max_depth, min_leaf_weight,
@@ -776,13 +756,13 @@ def fit_trees(datasets, weights, seeds, max_depth, min_leaf_weight,
         prngs = None
         if subset_size is not None:
             prngs = [SplitMix64(seeds[i]) for i in members]
-        nodes, roots = _grow_together(class_ids, [
+        grown = _grow_together(class_ids, [
             (datasets[i], slice(None), np.asarray(weights[i], dtype=np.float64),
              min_leaf_weight)
             for i in members
         ], params, prngs)
-        for i, root in zip(members, roots):
-            out[i] = TreeModel(nodes[root], class_ids, kind)
+        for i, nodes in zip(members, grown):
+            out[i] = TreeModel(*nodes, class_ids, kind)
     return out
 
 
@@ -834,11 +814,11 @@ def fit_forests(datasets, weights, seeds, n_trees, max_depth,
                                min_leaf_weight * ds.n_rows))
                 prngs.append(prng)
                 picked.append(np.unique(ds.labels[rows]))
-        nodes, roots = _grow_together(class_ids, blocks, params, prngs)
+        grown = _grow_together(class_ids, blocks, params, prngs)
         for j, i in enumerate(members):
             trees = range(j * n_trees, (j + 1) * n_trees)
             out[i] = ForestModel(
-                tuple(TreeModel(nodes[roots[t]], picked[t], "random")
+                tuple(TreeModel(*grown[t], picked[t], "random")
                       for t in trees),
                 class_ids,
             )

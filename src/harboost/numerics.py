@@ -79,9 +79,9 @@ def weighted_covariance(xs, w, ridge: float = 0.0) -> np.ndarray:
     w = check_weights(w, xs.shape[0])
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
-    mu = weighted_mean(xs, w)
-    xc = xs - mu
-    cov = (xc * w[:, None]).T @ xc / w.sum()
+    total = w.sum()
+    xc = xs - (w @ xs) / total
+    cov = (xc * w[:, None]).T @ xc / total
     cov = (cov + cov.T) / 2.0
     if ridge:
         cov = cov + ridge * np.eye(cov.shape[0])

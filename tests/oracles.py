@@ -155,6 +155,15 @@ def _grow(X, y, w, idx, depth, max_depth, min_leaf_weight, mode, bins,
     return ("split", f, tuple(thresholds), tuple(children))
 
 
+def tree_from_payload(p):
+    """A model payload's tree (its "root") in the nested-tuple form of
+    grow_tree."""
+    if "leaf" in p:
+        return ("leaf", p["leaf"])
+    return ("split", p["feature"], tuple(p["thresholds"]),
+            tuple(tree_from_payload(c) for c in p["children"]))
+
+
 def tree_predict(node, x):
     while node[0] == "split":
         _, f, thresholds, children = node

@@ -362,6 +362,20 @@ def test_malformed_tree_payload_rejected(tmp_path, family, root, message):
         load_model(path)
 
 
+def test_forest_split_beyond_features_names_the_largest(tmp_path):
+    # the first tree's offending feature is not the one reported
+    path = _stub_tree_file(tmp_path, {"leaf": 1}, Family.RANDOM_FOREST)
+    doc = json.loads(path.read_text())
+    first, second = doc["rounds"][0]["model"]["trees"]
+    first["root"] = _split(5, [0.0], [1, 2])
+    second["root"] = _split(9, [0.0], [1, 2])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError,
+                       match="round 1: a split tests feature 9, but the "
+                             "model has 2 features"):
+        load_model(path)
+
+
 def test_forest_tree_classes_must_be_forest_classes(tmp_path):
     path = _stub_tree_file(tmp_path, {"leaf": 1}, Family.RANDOM_FOREST)
     doc = json.loads(path.read_text())

@@ -259,3 +259,50 @@ def test_ctrl_c_stops_the_pool_without_hanging():
             proc.wait()
     assert proc.returncode == 130, stderr
     assert "Traceback" not in stderr, stderr
+
+
+INTERRUPTED_AT_START = textwrap.dedent("""
+    import sys, time
+    from harboost import evaluation
+    from harboost.synthetic import make_activity_dataset
+
+    init = evaluation._init_worker
+
+    def slow_init(job):
+        # the window between a worker's fork and its SIGINT handler,
+        # widened so that Ctrl-C lands inside it
+        print("starting", flush=True)
+        time.sleep(2)
+        init(job)
+
+    class Slow:
+        def fit_weighted(self, ds, w, seed=0):
+            time.sleep(120)
+
+    evaluation._init_worker = slow_init
+    ds = make_activity_dataset(80, 4, 3, seed=77, spread=0.15)
+    try:
+        evaluation.cross_validate(Slow(), ds, folds=4, rounds=1, threads=2)
+    except KeyboardInterrupt:
+        sys.exit(130)
+""")
+
+
+@needs_fork
+def test_ctrl_c_before_a_worker_is_set_up_prints_no_traceback():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_AT_START], env=env,
+        start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline().startswith("starting")
+        os.killpg(proc.pid, signal.SIGINT)
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, stderr
+    assert "Traceback" not in stderr, stderr

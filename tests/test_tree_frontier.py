@@ -18,18 +18,13 @@ import pytest
 import oracles
 from harboost.dataset import Dataset
 from harboost.learners import Family, LearnerSpec, trees
-from harboost.learners.trees import (
-    ForestModel, Leaf, _class_sum, model_from_payload,
-)
+from harboost.learners.trees import ForestModel, _class_sum, model_from_payload
 from harboost.rng import SplitMix64
 
 
-def as_oracle(node):
-    """A library node in the oracle's nested-tuple form."""
-    if isinstance(node, Leaf):
-        return ("leaf", node.label)
-    return ("split", node.feature, tuple(node.thresholds),
-            tuple(as_oracle(c) for c in node.children))
+def as_oracle(model):
+    """A tree model in the oracle's nested-tuple form."""
+    return oracles.tree_from_payload(model.to_payload()["root"])
 
 
 def uneven_task(seed):
@@ -82,7 +77,7 @@ def test_decision_tree_structure_matches_oracle(seed, tiny_batches):
     model = LearnerSpec(Family.DECISION_TREE, max_depth=8).fit_weighted(ds, w)
     want = oracles.grow_tree(ds.features.tolist(), ds.labels.tolist(),
                              w.tolist(), 8, 1e-4)
-    assert as_oracle(model.root) == want
+    assert as_oracle(model) == want
 
 
 def test_multiway_tree_structure_matches_oracle(tiny_batches):
@@ -91,7 +86,7 @@ def test_multiway_tree_structure_matches_oracle(tiny_batches):
                         bins=4).fit_weighted(ds, w)
     want = oracles.grow_tree(ds.features.tolist(), ds.labels.tolist(),
                              w.tolist(), 3, 1e-4, mode="multiway", bins=4)
-    assert as_oracle(model.root) == want
+    assert as_oracle(model) == want
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -103,7 +98,7 @@ def test_random_tree_structure_matches_oracle(seed):
     want = oracles.grow_tree(ds.features.tolist(), ds.labels.tolist(),
                              w.tolist(), 8, 1e-4, prng=SplitMix64(seed),
                              subset_size=2)
-    assert as_oracle(model.root) == want
+    assert as_oracle(model) == want
 
 
 def test_forest_structure_matches_oracle(tiny_batches):
@@ -112,7 +107,7 @@ def test_forest_structure_matches_oracle(tiny_batches):
                         subset_size=2, seed=5).fit_weighted(ds, w)
     want = oracles.forest_fit(ds.features.tolist(), ds.labels.tolist(),
                               w.tolist(), 6, 6, 1e-4, 2, 5)
-    assert [as_oracle(t.root) for t in model.trees] == want
+    assert [as_oracle(t) for t in model.trees] == want
 
 
 @pytest.mark.parametrize("K", [*range(1, 41), 130, 300])
@@ -172,7 +167,7 @@ def test_flat_routing_matches_oracle_descent():
     model = model_from_payload({"family": "multiway",
                                 "class_ids": [1, 2, 3, 4, 5, 6],
                                 "root": ROOT})
-    tree = as_oracle(model.root)
+    tree = as_oracle(model)
     Q = _queries()
     assert model.predict_batch(Q).tolist() == [
         oracles.tree_predict(tree, q) for q in Q.tolist()
@@ -207,7 +202,7 @@ def test_forest_flat_routing_matches_oracle_vote():
     ]
     forest = ForestModel(tuple(trees_), np.array([1, 2, 3, 4, 5, 6]))
     Q = _queries()
-    oracle_trees = [as_oracle(t.root) for t in trees_]
+    oracle_trees = [as_oracle(t) for t in trees_]
     assert forest.predict_batch(Q).tolist() == [
         oracles.forest_predict(oracle_trees, q) for q in Q.tolist()
     ]
@@ -217,16 +212,16 @@ def test_grown_multiway_routes_like_oracle_at_its_cuts():
     ds, w = uneven_task(6)
     model = LearnerSpec(Family.MULTIWAY_TREE, max_depth=3,
                         bins=4).fit_weighted(ds, w)
-    splits, stack = [], [model.root]
+    tree = as_oracle(model)
+    splits, stack = [], [tree]
     while stack:
         node = stack.pop()
-        if not isinstance(node, Leaf):
-            splits.append(node.thresholds)
-            stack.extend(node.children)
+        if node[0] == "split":
+            splits.append(node[2])
+            stack.extend(node[3])
     assert max(len(t) for t in splits) == 3  # a node with 4 children
     cuts = [c for t in splits for c in t]
     Q = np.array([[a, b, a] for a in cuts for b in cuts])
-    tree = as_oracle(model.root)
     assert model.predict_batch(Q).tolist() == [
         oracles.tree_predict(tree, q) for q in Q.tolist()
     ]

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from harboost.dataset import Dataset
 from harboost.learners import Family, LearnerSpec, fit
-from harboost.learners.trees import Leaf, SplitNode, bootstrap_counts
+from harboost.learners.trees import bootstrap_counts
 from harboost.rng import SplitMix64, derive_seed
 from harboost.synthetic import make_activity_dataset
 
@@ -15,17 +15,23 @@ def uniform(ds):
     return np.full(ds.n_rows, 1.0 / ds.n_rows)
 
 
+def as_oracle(model):
+    """A tree model's root in the oracle's nested-tuple form."""
+    return oracles.tree_from_payload(model.to_payload()["root"])
+
+
 def leaf_masses(node, X, y, w):
     """Route training rows through the tree, summing weight per leaf."""
     out = []
 
     def walk(n, idx):
-        if isinstance(n, Leaf):
+        if n[0] == "leaf":
             out.append(w[idx].sum())
             return
-        cut = np.searchsorted(np.asarray(n.thresholds), X[idx, n.feature],
+        _, feature, thresholds, children = n
+        cut = np.searchsorted(np.asarray(thresholds), X[idx, feature],
                               side="left")
-        for ci, child in enumerate(n.children):
+        for ci, child in enumerate(children):
             walk(child, idx[cut == ci])
 
     walk(node, np.arange(len(X)))
@@ -40,9 +46,9 @@ def leaf_masses(node, X, y, w):
 def test_stump_separates_two_points():
     ds = Dataset(np.array([[0.0], [1.0]]), np.array([1, 2]), ("f",))
     m = fit(LearnerSpec(Family.DECISION_STUMP), ds)
-    root = m.root
-    assert isinstance(root, SplitNode)
-    assert 0.0 < root.thresholds[0] < 1.0
+    node = as_oracle(m)
+    assert node[0] == "split"
+    assert 0.0 < node[2][0] < 1.0
     assert m.predict_batch(ds.features).tolist() == [1, 2]
 
 
@@ -80,8 +86,9 @@ def test_pure_dataset_gives_single_leaf():
     ds = Dataset(np.random.default_rng(0).uniform(-1, 1, (10, 2)),
                  np.full(10, 6), ("a", "b"))
     m = fit(LearnerSpec(Family.DECISION_TREE), ds)
-    assert isinstance(m.root, Leaf)
-    assert m.root.label == 6
+    node = as_oracle(m)
+    assert node[0] == "leaf"
+    assert node[1] == 6
 
 
 def test_xor_stump_fails_depth2_succeeds():
@@ -143,8 +150,9 @@ def test_multiway_produces_more_than_two_children():
     y = np.array([1] * 20 + [2] * 20 + [3] * 20)
     ds = Dataset(x[:, None], y, ("f",))
     m = fit(LearnerSpec(Family.MULTIWAY_TREE, max_depth=1, bins=4), ds)
-    assert isinstance(m.root, SplitNode)
-    assert len(m.root.children) >= 3
+    node = as_oracle(m)
+    assert node[0] == "split"
+    assert len(node[3]) >= 3
     # quantile-grid boundaries need not align exactly with cluster edges
     assert (m.predict_batch(ds.features) == y).mean() >= 0.9
 
@@ -218,7 +226,7 @@ def test_leaf_masses_partition_total(family, kwargs):
     w = np.random.default_rng(2).uniform(0.01, 1.0, ds.n_rows)
     w = w / w.sum()
     m = LearnerSpec(family, **kwargs).fit_weighted(ds, w)
-    masses = leaf_masses(m.root, ds.features, ds.labels, w)
+    masses = leaf_masses(as_oracle(m), ds.features, ds.labels, w)
     assert sum(masses) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -227,11 +235,11 @@ def test_max_depth_respected():
     m = fit(LearnerSpec(Family.DECISION_TREE, max_depth=2), ds)
 
     def depth(n):
-        if isinstance(n, Leaf):
+        if n[0] == "leaf":
             return 0
-        return 1 + max(depth(c) for c in n.children)
+        return 1 + max(depth(c) for c in n[3])
 
-    assert depth(m.root) <= 2
+    assert depth(as_oracle(m)) <= 2
 
 
 def test_forest_deterministic_serialization():
