@@ -180,9 +180,9 @@ def dataset_digest(ds: Dataset) -> str:
     h.update(b"harboost-dataset-v1\n")
     h.update(f"{ds.n_rows} {ds.n_features}\n".encode())
     h.update((",".join(ds.feature_names) + "\n").encode())
-    for row, lab in zip(ds.features, ds.labels):
-        line = " ".join(_float_repr(v) for v in row)
-        h.update(f"{line} {int(lab)}\n".encode())
+    # repr of a tolist() float is _float_repr of the array element
+    for row, lab in zip(ds.features.tolist(), ds.labels.tolist()):
+        h.update(f"{' '.join(map(repr, row))} {lab}\n".encode())
     return h.hexdigest()
 
 

@@ -16,6 +16,9 @@ import numpy as np
 from ..numerics import check_array, check_rows
 
 _BLOCK = 1024
+# distance cells a table pass partitions at once: 1 MB of float64, so the
+# partition and the tie count read a pass from cache
+_PASS_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -101,45 +104,60 @@ def neighbor_table(rows: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """(n_queries, k) indices of each query's k nearest stored rows.
 
     The neighbor set is the first k rows in (squared distance, row index)
-    order. Index order inside a row of the table is unspecified; only set
-    membership matters to the weighted vote.
+    order. A row of the table keeps the order argpartition leaves it in,
+    which is part of the result: votes add their weights in table order.
+
+    Each block of _BLOCK queries takes one product with the stored rows
+    (a block's shape fixes the product's bits), which becomes squared
+    distances in place, (q_sq - 2 g) + row_sq clipped at 0, and is
+    partitioned a pass of about _PASS_CELLS cells at a time.
     """
     n = rows.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} stored rows")
+    if k == n:
+        return np.tile(np.arange(n), (queries.shape[0], 1))
     row_sq = np.einsum("ij,ij->i", rows, rows)
     out = np.empty((queries.shape[0], k), dtype=np.int64)
     for start in range(0, queries.shape[0], _BLOCK):
         q = queries[start:start + _BLOCK]
-        d2 = np.maximum(
-            np.einsum("ij,ij->i", q, q)[:, None] - 2.0 * (q @ rows.T) + row_sq,
-            0.0,
-        )
-        if k == n:
-            out[start:start + _BLOCK] = np.arange(n)
-            continue
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(d2, part[:, -1:], axis=1)[:, 0]
-        n_le = (d2 <= kth[:, None]).sum(axis=1)
-        block = out[start:start + _BLOCK]
+        # no name holds the product, so it is freed before the next block's
+        _block_table(q @ rows.T, np.einsum("ij,ij->i", q, q), row_sq,
+                     out[start:start + _BLOCK])
+    return out
+
+
+def _block_table(d2, q_sq, row_sq, out) -> None:
+    """Fill out, (m, k), from d2, the (m, n) products of m queries with
+    the stored rows, overwriting d2 with squared distances."""
+    k = out.shape[1]
+    step = max(1, _PASS_CELLS // d2.shape[1])
+    for s in range(0, d2.shape[0], step):
+        d = d2[s:s + step]
+        # -2 g + q_sq has the bits of q_sq - 2 g: scaling by -2 is exact
+        d *= -2.0
+        d += q_sq[s:s + step, None]
+        d += row_sq
+        np.maximum(d, 0.0, out=d)
+        part = np.argpartition(d, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(d, part[:, -1:], axis=1)[:, 0]
+        n_le = np.count_nonzero(d <= kth[:, None], axis=1)
+        block = out[s:s + step]
         block[:] = part
         for i in np.flatnonzero(n_le > k):
             # boundary tie: keep strictly-closer rows, fill the remainder
             # with the lowest-index rows at the boundary distance
-            di = d2[i]
+            di = d[i]
             closer = np.flatnonzero(di < kth[i])
             at = np.flatnonzero(di == kth[i])[: k - closer.size]
             block[i] = np.concatenate([closer, at])
-    return out
 
 
 def vote_scores(table, label_idx, weights, n_classes: int) -> np.ndarray:
-    """Summed vote weight per class for each query's neighbor set."""
+    """Summed vote weight per class for each query's neighbor set, added
+    in table order."""
     nq = table.shape[0]
-    scores = np.zeros((nq, n_classes), dtype=np.float64)
-    np.add.at(
-        scores,
-        (np.repeat(np.arange(nq), table.shape[1]), label_idx[table].ravel()),
-        weights[table].ravel(),
-    )
-    return scores
+    cells = np.arange(nq)[:, None] * n_classes + label_idx[table]
+    return np.bincount(
+        cells.ravel(), weights=weights[table].ravel(), minlength=nq * n_classes
+    ).reshape(nq, n_classes)

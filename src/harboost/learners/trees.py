@@ -196,11 +196,10 @@ class ForestModel:
         return self.class_ids[votes.argmax(axis=1)]
 
     def check(self, n_features: int) -> None:
+        if not self.trees:
+            raise ValueError("a forest has no trees")
         # the tree that splits on the largest feature names it
-        widest = max(self.trees, key=lambda t: int(t.feature.max()),
-                     default=None)
-        if widest is not None:
-            widest.check(n_features)
+        max(self.trees, key=lambda t: int(t.feature.max())).check(n_features)
 
     def to_payload(self) -> dict:
         return {

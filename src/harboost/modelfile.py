@@ -176,7 +176,8 @@ def load_model(path) -> LoadedModel:
             payload = {**payload, "rows": shared}
         try:
             model = model_from_payload(payload)
-        except (ValueError, TypeError, KeyError) as e:
+        except (ValueError, TypeError, KeyError, OverflowError) as e:
+            # OverflowError: int() of a JSON Infinity
             raise ModelFormatError(f"{where}: {type(e).__name__}: {e}") from None
         ids = model.class_ids
         if ids.ndim != 1 or not ids.size or not np.isin(ids, class_ids).all():

@@ -42,6 +42,62 @@ def knn_neighbor_set(x, rows, k):
     return sorted(range(len(rows)), key=lambda i: (d2[i], i))[:k]
 
 
+# Frozen copies of the blocked neighbor table and the np.add.at vote that
+# the k-NN learner shipped with. Whole-block temporaries, kept verbatim:
+# the library's table and votes must equal these bit for bit, within-row
+# table order included, since votes add their weights in table order.
+
+_BLOCK = 1024
+
+
+def knn_neighbor_table(rows: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """(n_queries, k) indices of each query's k nearest stored rows.
+
+    The neighbor set is the first k rows in (squared distance, row index)
+    order. Index order inside a row of the table is unspecified; only set
+    membership matters to the weighted vote.
+    """
+    n = rows.shape[0]
+    if k > n:
+        raise ValueError(f"k={k} exceeds the {n} stored rows")
+    row_sq = np.einsum("ij,ij->i", rows, rows)
+    out = np.empty((queries.shape[0], k), dtype=np.int64)
+    for start in range(0, queries.shape[0], _BLOCK):
+        q = queries[start:start + _BLOCK]
+        d2 = np.maximum(
+            np.einsum("ij,ij->i", q, q)[:, None] - 2.0 * (q @ rows.T) + row_sq,
+            0.0,
+        )
+        if k == n:
+            out[start:start + _BLOCK] = np.arange(n)
+            continue
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(d2, part[:, -1:], axis=1)[:, 0]
+        n_le = (d2 <= kth[:, None]).sum(axis=1)
+        block = out[start:start + _BLOCK]
+        block[:] = part
+        for i in np.flatnonzero(n_le > k):
+            # boundary tie: keep strictly-closer rows, fill the remainder
+            # with the lowest-index rows at the boundary distance
+            di = d2[i]
+            closer = np.flatnonzero(di < kth[i])
+            at = np.flatnonzero(di == kth[i])[: k - closer.size]
+            block[i] = np.concatenate([closer, at])
+    return out
+
+
+def knn_vote_scores(table, label_idx, weights, n_classes: int) -> np.ndarray:
+    """Summed vote weight per class for each query's neighbor set."""
+    nq = table.shape[0]
+    scores = np.zeros((nq, n_classes), dtype=np.float64)
+    np.add.at(
+        scores,
+        (np.repeat(np.arange(nq), table.shape[1]), label_idx[table].ravel()),
+        weights[table].ravel(),
+    )
+    return scores
+
+
 # ---------------------------------------------------------------------------
 # Trees
 # ---------------------------------------------------------------------------

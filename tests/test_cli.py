@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,11 @@ def test_predict_malformed_model_exit_3(capsys, tiny_csv, tmp_path, edit,
         # an out-of-range feature raised IndexError (exit 4)
         {"feature": 15, "thresholds": [0.0],
          "children": [{"leaf": 1}, {"leaf": 2}]},
+        # JSON's Infinity made int() raise OverflowError (exit 4)
+        {"feature": math.inf, "thresholds": [0.0],
+         "children": [{"leaf": 1}, {"leaf": 2}]},
+        {"feature": 0, "thresholds": [0.0],
+         "children": [{"leaf": 1}, {"leaf": math.inf}]},
     ],
 )
 def test_predict_malformed_tree_exit_3(capsys, tiny_csv, tmp_path, root):
@@ -442,6 +448,22 @@ def test_predict_malformed_tree_exit_3(capsys, tiny_csv, tmp_path, root):
     assert code == 3
     assert stdout == ""
     assert "round 1" in stderr
+
+
+def test_predict_forest_without_trees_exit_3(capsys, tiny_csv, tmp_path):
+    # an empty forest loaded, then predict exited 4 on max() of no trees
+    model = tmp_path / "m.json"
+    run(capsys, ["train", "--from-csv", tiny_csv, "--learner",
+                 "random-forest", "--rounds", "2", "--model-out", str(model)])
+    doc = json.loads(model.read_text())
+    for r in doc["rounds"]:
+        r["model"]["trees"] = []
+    model.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, ["predict", "--model", str(model),
+                                        "--from-csv", tiny_csv])
+    assert code == 3
+    assert stdout == ""
+    assert "round 1: a forest has no trees" in stderr
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from harboost.dataset import Dataset
 from harboost.learners import Family, LearnerSpec, fit, predict
-from harboost.learners.knn import neighbor_table
+from harboost.learners.knn import neighbor_table, vote_scores
 from harboost.synthetic import make_activity_dataset
 
 
@@ -97,3 +99,78 @@ def test_matches_bruteforce_oracle(k, rng_queries):
         oracles.knn_predict(q, ds.features, ds.labels, w, k) for q in queries
     ]
     assert got.tolist() == want
+
+
+def _tie_data(n, seed):
+    # 4 features at one decimal: exact distance ties at the k-th
+    # neighbor are common, so the boundary fix-up runs
+    return np.round(np.random.default_rng(seed).normal(size=(n, 4)), 1)
+
+
+def _boundary_ties(rows, queries, k):
+    d2 = ((queries[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
+    kth = np.sort(d2, axis=1)[:, k - 1]
+    return int(((d2 <= kth[:, None]).sum(axis=1) > k).sum())
+
+
+@pytest.mark.parametrize("n", [13, 1800, 2049])
+@pytest.mark.parametrize("nq", [1, 2, 1023, 1024, 1025, 2049])
+def test_neighbor_table_equals_blocked_oracle(n, nq):
+    # element for element, within-row order included: the vote adds
+    # weights in table order (1025 queries leave a 1-row product tail)
+    rows, queries = _tie_data(n, seed=n), _tie_data(nq, seed=n + nq)
+    for k in (1, 12, n):
+        want = oracles.knn_neighbor_table(rows, queries, k)
+        got = neighbor_table(rows, queries, k)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (n, nq, k)
+
+
+@pytest.mark.parametrize("n", [13, 1800])
+def test_neighbor_table_on_stored_rows_equals_oracle(n):
+    rows = _tie_data(n, seed=7 * n)
+    for k in (1, 12):
+        assert np.array_equal(neighbor_table(rows, rows, k),
+                              oracles.knn_neighbor_table(rows, rows, k))
+
+
+def test_oracle_pin_data_has_boundary_ties():
+    rows, queries = _tie_data(1800, seed=1800), _tie_data(1025, seed=2825)
+    assert _boundary_ties(rows, queries[:300], 1) > 0
+    assert _boundary_ties(rows, queries[:300], 12) > 0
+
+
+def test_vote_scores_equal_add_at_oracle_in_table_order():
+    rng = np.random.default_rng(5)
+    n, n_classes = 1800, 12
+    rows, queries = _tie_data(n, seed=11), _tie_data(1025, seed=12)
+    table = neighbor_table(rows, queries, 12)
+    label_idx = rng.integers(0, n_classes, n)
+    # weights over eight decades: the sum's bits depend on its order
+    weights = 10.0 ** rng.uniform(-8.0, 0.0, n)
+    want = oracles.knn_vote_scores(table, label_idx, weights, n_classes)
+    got = vote_scores(table, label_idx, weights, n_classes)
+    assert np.array_equal(got, want)
+    reordered = oracles.knn_vote_scores(table[:, ::-1], label_idx, weights,
+                                        n_classes)
+    assert not np.array_equal(reordered, want)
+
+
+def test_neighbor_table_peak_memory_below_two_blocks():
+    # one (1024 x 1800) float64 product per block, turned into distances
+    # in place: whole-block temporaries would push the peak past 2 blocks
+    rng = np.random.default_rng(3)
+    rows, queries = rng.normal(size=(1800, 15)), rng.normal(size=(1800, 15))
+    block_bytes = 1024 * 1800 * 8
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        neighbor_table(rows, queries, 12)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 2 * block_bytes, peak / block_bytes
