@@ -49,44 +49,9 @@ from .evaluation import (
 from .learners import ConstantLearner, Family, LearnerSpec, fit, predict
 from .modelfile import LoadedModel, ModelFormatError, load_model, save_model
 
-__all__ = [
-    "ActivityLabel",
-    "BODY_ACC_FEATURES",
-    "BoostRound",
-    "BoostedEnsemble",
-    "CVResult",
-    "ComparisonReport",
-    "ConfusionMatrix",
-    "ConstantLearner",
-    "DataError",
-    "Dataset",
-    "Family",
-    "FoldAssignment",
-    "LearnerSpec",
-    "LoadedModel",
-    "ModelFormatError",
-    "REPORT_CLASS_ORDER",
-    "accuracy_binary",
-    "boost_fit",
-    "boost_predict",
-    "boost_predict_batch",
-    "class_precision",
-    "class_recall",
-    "compare",
-    "confusion_from_predictions",
-    "cross_validate",
-    "dataset_digest",
-    "fit",
-    "load_body_acc",
-    "load_csv",
-    "load_hapt",
-    "load_model",
-    "overall_accuracy",
-    "predict",
-    "samme_alpha",
-    "save_csv",
-    "save_model",
-    "select_features",
-    "stratified_folds",
-    "summarize_by_activity",
-]
+from types import ModuleType as _ModuleType
+
+#: every public name imported above; submodules are not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

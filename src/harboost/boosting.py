@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ActivityLabel, Dataset
-from .learners import fit_group, knn
+from .learners import fit_group
 
 #: Lower clamp on the weighted error, bounding alpha at ln(1e10) + ln(K-1).
 EPSILON_CLAMP = 1e-10
@@ -111,18 +111,14 @@ class _Fold:
         self.w = np.full(ds.n_rows, 1.0 / ds.n_rows)
         self.kept: list[BoostRound] = []
         self.stopped = False
-        self.table = None  # k-NN: neighbor sets are weight-independent
+        self.score = None  # round 1's scorer of the training rows
 
     def add_round(self, t: int, model) -> None:
         """Score round t's model on the training rows and update."""
         ds, num_classes = self.ds, len(self.class_ids)
-        if isinstance(model, knn.KnnModel):
-            if self.table is None:
-                self.table = knn.neighbor_table(model.rows, ds.features, model.k)
-            pred = _knn_table_predictions(model, self.table)
-        else:
-            pred = model.predict_batch(ds.features)
-        miss = pred != ds.labels
+        if self.score is None:
+            self.score = _scorer(model, ds.features)
+        miss = self.score(model) != ds.labels
         epsilon = float(self.w[miss].sum())
         if epsilon >= 1.0 - 1.0 / num_classes:
             if t == 1:
@@ -145,28 +141,11 @@ class _Fold:
                                         float(self.w.min())))
 
 
-def _knn_table_predictions(model: knn.KnnModel, table: np.ndarray) -> np.ndarray:
-    scores = knn.vote_scores(
-        table, model.label_indices(), model.weights, len(model.class_ids)
-    )
-    return model.class_ids[scores.argmax(axis=1)]
-
-
-def _round_predictions(ens: BoostedEnsemble, X: np.ndarray):
-    """Yield (predictions, alpha) per round, sharing one neighbor table
-    when every round is k-NN over the same stored rows."""
-    models = [r.model for r in ens.rounds]
-    first = models[0]
-    if isinstance(first, knn.KnnModel) and all(
-        isinstance(m, knn.KnnModel) and m.rows is first.rows and m.k == first.k
-        for m in models
-    ):
-        table = knn.neighbor_table(first.rows, X, first.k)
-        for r in ens.rounds:
-            yield _knn_table_predictions(r.model, table), r.alpha
-        return
-    for r in ens.rounds:
-        yield r.model.predict_batch(X), r.alpha
+def _scorer(model, X):
+    """score(m) -> m's predictions for X. A model with round_scorer(X)
+    shares its per-X work with the later rounds it recognises."""
+    round_scorer = getattr(model, "round_scorer", None)
+    return round_scorer(X) if round_scorer else lambda m: m.predict_batch(X)
 
 
 def boost_predict_batch(ens: BoostedEnsemble, X) -> np.ndarray:
@@ -174,8 +153,9 @@ def boost_predict_batch(ens: BoostedEnsemble, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     votes = np.zeros((X.shape[0], ens.num_classes))
     rows = np.arange(X.shape[0])
-    for pred, alpha in _round_predictions(ens, X):
-        votes[rows, np.searchsorted(ens.class_ids, pred)] += alpha
+    score = _scorer(ens.rounds[0].model, X)
+    for r in ens.rounds:
+        votes[rows, np.searchsorted(ens.class_ids, score(r.model))] += r.alpha
     return ens.class_ids[votes.argmax(axis=1)]
 
 

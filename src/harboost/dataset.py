@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,12 +196,36 @@ def _require(path: Path) -> Path:
     return path
 
 
+def _lines(path: Path):
+    """(1-based line number, stripped text) of each non-blank line."""
+    with open(path, "rb") as fh:
+        for ln, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: line {ln} is not UTF-8 text") from None
+            if line:
+                yield ln, line
+
+
+def _floats(path, ln: int, cells) -> list[float]:
+    """The cells of file line ln as floats; DataError names the first
+    cell that does not parse."""
+    try:
+        return [float(c) for c in cells]
+    except ValueError:
+        for col, c in enumerate(cells, start=1):
+            try:
+                float(c)
+            except ValueError:
+                raise DataError(f"{path}: line {ln}, column {col}: "
+                                f"cannot parse {c!r} as a number") from None
+        raise
+
+
 def _parse_feature_names(path: Path) -> list[str]:
     names = []
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for _, line in _lines(path):
         parts = line.split(None, 1)
         if len(parts) == 2 and parts[0].isdigit():
             names.append(parts[1].strip())
@@ -216,10 +239,7 @@ def _parse_feature_names(path: Path) -> list[str]:
 def _parse_activity_names(path: Path) -> None:
     """Validate that the on-disk id->name table matches ActivityLabel."""
     seen = {}
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for ln, line in _lines(path):
         parts = line.split(None, 1)
         if len(parts) != 2 or not parts[0].lstrip("-").isdigit():
             raise DataError(f"{path}: line {ln}: expected '<id> <NAME>'")
@@ -232,51 +252,27 @@ def _parse_activity_names(path: Path) -> None:
         )
 
 
-def _diagnose_matrix(path: Path, expected_cols: int | None):
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if expected_cols is not None and len(tokens) != expected_cols:
-                raise DataError(
-                    f"{path}: line {ln} has {len(tokens)} values, "
-                    f"expected {expected_cols}"
-                )
-            for col, tok in enumerate(tokens, start=1):
-                try:
-                    v = float(tok)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {ln}, column {col}: "
-                        f"cannot parse {tok!r} as a number"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DataError(
-                        f"{path}: line {ln}, column {col}: non-finite value {tok!r}"
-                    )
-
-
 def _parse_matrix(path: Path) -> np.ndarray:
+    # loadtxt is the parse; the line walk only names what it rejected
     try:
         X = np.loadtxt(path, dtype=np.float64, ndmin=2)
-    except ValueError:
-        _diagnose_matrix(path, None)
-        raise
-    if not np.isfinite(X).all():
-        r, c = np.argwhere(~np.isfinite(X))[0]
-        raise DataError(
-            f"{path}: line {r + 1}, column {c + 1}: non-finite value"
-        )
+    except ValueError as e:
+        width = None
+        for ln, line in _lines(path):
+            cells = line.split()
+            width = width or len(cells)
+            if len(cells) != width:
+                raise DataError(f"{path}: line {ln} has {len(cells)} values, "
+                                f"expected {width}") from None
+            _floats(path, ln, cells)
+        raise DataError(f"{path}: {e}") from None
+    require_finite(X, f"{path}: ")
     return X
 
 
 def _parse_labels(path: Path) -> np.ndarray:
     values = []
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for ln, line in _lines(path):
         try:
             v = int(line)
         except ValueError:
@@ -319,7 +315,7 @@ def load_hapt(data_dir) -> Dataset:
     if X.size and (X.min() < -1.0 or X.max() > 1.0):
         r, c = np.argwhere((X < -1.0) | (X > 1.0))[0]
         raise DataError(
-            f"{x_file}: line {r + 1}, column {c + 1}: value {X[r, c]!r} "
+            f"{x_file}: row {r + 1}, column {c + 1}: value {X[r, c]} "
             f"outside the normalized range [-1, 1]"
         )
     return Dataset(X, y, tuple(names))
@@ -438,18 +434,7 @@ def _read_csv(path, require_labels: bool):
                 raise DataError(
                     f"{path}: line {ln} has {len(cells)} cells, expected {len(cols)}"
                 )
-            try:
-                feats.append([float(c) for c in cells[:d]])
-            except ValueError:
-                for col, c in enumerate(cells[:d], start=1):
-                    try:
-                        float(c)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: line {ln}, column {col}: "
-                            f"cannot parse {c!r} as a number"
-                        ) from None
-                raise
+            feats.append(_floats(path, ln, cells[:d]))
             if has_labels:
                 try:
                     labels.append(int(cells[d]))

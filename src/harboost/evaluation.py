@@ -315,7 +315,6 @@ def cross_validate(
     folds: int = 10,
     rounds: int = 10,
     seed: int = 0,
-    assignment: FoldAssignment | None = None,
     threads: int = 1,
 ) -> CVResult:
     """Boosted stratified k-fold cross-validation.
@@ -325,10 +324,7 @@ def cross_validate(
     With threads > 1 the folds run in up to that many worker processes;
     the result is independent of the thread count.
     """
-    if assignment is None:
-        assignment = stratified_folds(ds, folds, seed)
-    elif assignment.k != folds or assignment.fold_of_row.shape[0] != ds.n_rows:
-        raise ValueError("fold assignment does not match dataset/fold count")
+    assignment = stratified_folds(ds, folds, seed)
     return _cross_validate_all(
         [base_spec], ds, folds, rounds, seed, assignment, threads
     )[0]

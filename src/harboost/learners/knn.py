@@ -34,12 +34,26 @@ class KnnModel:
         return np.searchsorted(self.class_ids, self.labels)
 
     def predict_batch(self, X) -> np.ndarray:
+        return self.round_scorer(X)(self)
+
+    def round_scorer(self, X):
+        """score(m) -> m's predictions for X. Neighbor sets do not depend
+        on vote weights, so every k-NN model over these same stored rows
+        and k votes through one neighbor table of X; any other model
+        predicts on its own."""
         X = _check_queries(X, self.rows.shape[1])
         table = neighbor_table(self.rows, X, self.k)
-        scores = vote_scores(
-            table, self.label_indices(), self.weights, len(self.class_ids)
-        )
-        return self.class_ids[scores.argmax(axis=1)]
+
+        def score(m) -> np.ndarray:
+            if not (isinstance(m, KnnModel) and m.rows is self.rows
+                    and m.k == self.k):
+                return m.predict_batch(X)
+            scores = vote_scores(
+                table, m.label_indices(), m.weights, len(m.class_ids)
+            )
+            return m.class_ids[scores.argmax(axis=1)]
+
+        return score
 
     def check(self, n_features: int) -> None:
         if isinstance(self.k, bool) or not isinstance(self.k, int):

@@ -82,19 +82,54 @@ def test_load_hapt_row_label_mismatch(tmp_path, synthetic_hapt_dir):
         load_hapt(root)
 
 
-def test_load_hapt_reports_file_line_column(tmp_path, synthetic_hapt_dir):
+def _set_cell(lines, i, j, value):
+    cells = lines[i].split()
+    cells[j] = value
+    lines[i] = " ".join(cells)
+
+
+def _cut_line(lines, i, n):
+    lines[i] = " ".join(lines[i].split()[:n])
+
+
+def _blank_first_then_nan(lines):
+    lines.insert(0, "")
+    _set_cell(lines, 4, 2, "nan")  # file line 5, the 4th matrix row
+
+
+def test_load_hapt_reports_file_line_column(tmp_path, synthetic_hapt_dir,
+                                            capsys):
     import shutil
 
-    root = tmp_path / "badcell"
-    shutil.copytree(synthetic_hapt_dir, root)
-    x_path = root / "Train" / "X_train.txt"
-    lines = x_path.read_text().splitlines()
-    cells = lines[2].split()
-    cells[4] = "oops"
-    lines[2] = " ".join(cells)
-    x_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError, match=r"line 3, column 5"):
-        load_hapt(root)
+    from harboost import cli
+
+    cases = {
+        "bad-cell": (lambda ls: _set_cell(ls, 2, 4, "oops"),
+                     r"X_train.txt: line 3, column 5: "
+                     r"cannot parse 'oops' as a number"),
+        "ragged-row": (lambda ls: _cut_line(ls, 3, 560),
+                       r"X_train.txt: line 4 has 560 values, expected 561"),
+        "nan-after-blank-line": (
+            _blank_first_then_nan,
+            r"X_train.txt: non-finite value at row 4, column 3"),
+        # float() reads 1_0, loadtxt does not: its own words, still exit 3
+        "loadtxt-only-reject": (lambda ls: _set_cell(ls, 0, 0, "1_0"),
+                                r"X_train.txt: .*'1_0'"),
+        "not-utf8": (lambda ls: _set_cell(ls, 1, 0, "\udce9"),
+                     r"X_train.txt: line 2 is not UTF-8 text"),
+    }
+    for name, (edit, message) in cases.items():
+        root = tmp_path / name
+        shutil.copytree(synthetic_hapt_dir, root)
+        x_path = root / "Train" / "X_train.txt"
+        lines = x_path.read_text().splitlines()
+        edit(lines)
+        x_path.write_text("\n".join(lines) + "\n", errors="surrogateescape")
+        with pytest.raises(DataError, match=message):
+            load_hapt(root)
+        assert cli.main(["ingest", "--data-dir", str(root),
+                         "--out", str(tmp_path / "out.csv")]) == 3, name
+        assert "internal error" not in capsys.readouterr().err
 
 
 def test_load_hapt_rejects_label_out_of_range(tmp_path, synthetic_hapt_dir):

@@ -1,11 +1,14 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from harboost.boosting import boost_fit, boost_predict_batch
 from harboost.dataset import Dataset
-from harboost.learners import Family, LearnerSpec, fit, predict
+from harboost.evaluation import cross_validate
+from harboost.learners import Family, LearnerSpec, fit, knn, predict
 from harboost.learners.knn import neighbor_table, vote_scores
 from harboost.synthetic import make_activity_dataset
 
@@ -174,3 +177,54 @@ def test_neighbor_table_peak_memory_below_two_blocks():
         if started:
             tracemalloc.stop()
     assert peak < 2 * block_bytes, peak / block_bytes
+
+
+def _counting_neighbor_table(monkeypatch):
+    calls = []
+    real = knn.neighbor_table
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(knn, "neighbor_table", counted)
+    return calls
+
+
+@pytest.mark.parametrize("folds", [2, 4])
+def test_boosted_cv_builds_two_tables_per_fold(monkeypatch, folds):
+    # one table of a fold's training rows serves every round's training
+    # error, one table of its test rows every round's vote
+    ds = make_activity_dataset(120, 4, 3, seed=21, spread=0.5)
+    calls = _counting_neighbor_table(monkeypatch)
+    cross_validate(spec(5), ds, folds=folds, rounds=4, seed=2)
+    assert len(calls) == 2 * folds
+
+
+def test_rounds_not_sharing_rows_vote_through_their_own_predictions(
+        monkeypatch):
+    ds = make_activity_dataset(120, 4, 3, seed=21, spread=0.5)
+    shared = boost_fit(spec(5), ds, rounds=4, seed=3)
+    assert len(shared.rounds) >= 3
+    # every round after the first gets its own copy of the stored rows,
+    # and the last is a model of another family
+    rounds = list(shared.rounds)
+    for i in range(1, len(rounds)):
+        m = rounds[i].model
+        rounds[i] = dataclasses.replace(
+            rounds[i], model=dataclasses.replace(m, rows=m.rows.copy()))
+    rounds[-1] = dataclasses.replace(
+        rounds[-1], model=fit(LearnerSpec(Family.NAIVE_BAYES), ds))
+    ens = dataclasses.replace(shared, rounds=tuple(rounds))
+    X = make_activity_dataset(60, 4, 3, seed=22, spread=0.5).features
+
+    votes = np.zeros((X.shape[0], ens.num_classes))
+    for r in ens.rounds:
+        pred = r.model.predict_batch(X)
+        votes[np.arange(X.shape[0]),
+              np.searchsorted(ens.class_ids, pred)] += r.alpha
+    calls = _counting_neighbor_table(monkeypatch)
+    got = boost_predict_batch(ens, X)
+    np.testing.assert_array_equal(got, ens.class_ids[votes.argmax(axis=1)])
+    # round 1's table, then one per k-NN round holding its own rows
+    assert len(calls) == len(rounds) - 1
