@@ -168,18 +168,13 @@ class Dataset:
         )
 
 
-def _float_repr(v: float) -> str:
-    """Shortest decimal string that round-trips to the same float64."""
-    return repr(float(v))
-
-
 def dataset_digest(ds: Dataset) -> str:
     """SHA-256 over a canonical text encoding of the dataset content."""
     h = hashlib.sha256()
     h.update(b"harboost-dataset-v1\n")
     h.update(f"{ds.n_rows} {ds.n_features}\n".encode())
     h.update((",".join(ds.feature_names) + "\n").encode())
-    # repr of a tolist() float is _float_repr of the array element
+    # repr of a float is the shortest decimal that round-trips to it
     for row, lab in zip(ds.features.tolist(), ds.labels.tolist()):
         h.update(f"{' '.join(map(repr, row))} {lab}\n".encode())
     return h.hexdigest()
@@ -254,8 +249,10 @@ def _parse_activity_names(path: Path) -> None:
 
 def _parse_matrix(path: Path) -> np.ndarray:
     # loadtxt is the parse; the line walk only names what it rejected
+    if next(_lines(path), None) is None:
+        raise DataError(f"{path}: no data rows")
     try:
-        X = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        X = np.loadtxt(path, dtype=np.float64, ndmin=2, comments=None)
     except ValueError as e:
         width = None
         for ln, line in _lines(path):
@@ -401,12 +398,9 @@ def save_csv(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join([*ds.feature_names, "activity_id", "activity_name"]))
         fh.write("\n")
-        for row, lab in zip(ds.features, ds.labels):
-            cells = [_float_repr(v) for v in row]
-            cells.append(str(int(lab)))
-            cells.append(ActivityLabel(int(lab)).name)
-            fh.write(",".join(cells))
-            fh.write("\n")
+        for row, lab in zip(ds.features, ds.labels.tolist()):
+            cells = [*map(repr, row.tolist()), str(lab), ActivityLabel(lab).name]
+            fh.write(",".join(cells) + "\n")
 
 
 def _read_csv(path, require_labels: bool):

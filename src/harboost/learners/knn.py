@@ -146,6 +146,7 @@ def _block_table(d2, q_sq, row_sq, out) -> None:
     the stored rows, overwriting d2 with squared distances."""
     k = out.shape[1]
     step = max(1, _PASS_CELLS // d2.shape[1])
+    le = np.empty((min(step, d2.shape[0]), d2.shape[1]), dtype=bool)
     for s in range(0, d2.shape[0], step):
         d = d2[s:s + step]
         # -2 g + q_sq has the bits of q_sq - 2 g: scaling by -2 is exact
@@ -155,7 +156,8 @@ def _block_table(d2, q_sq, row_sq, out) -> None:
         np.maximum(d, 0.0, out=d)
         part = np.argpartition(d, k - 1, axis=1)[:, :k]
         kth = np.take_along_axis(d, part[:, -1:], axis=1)[:, 0]
-        n_le = np.count_nonzero(d <= kth[:, None], axis=1)
+        at_most = np.less_equal(d, kth[:, None], out=le[:len(d)])
+        n_le = np.add.reduce(at_most.view(np.uint8), axis=1, dtype=np.int32)
         block = out[s:s + step]
         block[:] = part
         for i in np.flatnonzero(n_le > k):

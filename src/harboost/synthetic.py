@@ -4,6 +4,11 @@ Real HAPT data cannot be redistributed with this package, so demos and
 most tests run on seeded Gaussian class blobs clipped to the dataset's
 normalized [-1, 1] range. write_hapt_layout writes such a dataset in
 the exact on-disk layout the ingestion code expects.
+
+Every draw is a bulk SplitMix64.next_floats call, which gives the same
+values and end state as that many next_float calls, so the outputs
+equal those of a per-value loop while no Python code runs per value.
+A row of X_train.txt is one %-format of its Python floats.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from .rng import SplitMix64
 def _gauss_pairs(prng: SplitMix64, n: int) -> np.ndarray:
     """n standard normal draws via Box-Muller on SplitMix64 floats."""
     m = (n + 1) // 2
-    u1 = np.array([prng.next_float() for _ in range(m)])
-    u2 = np.array([prng.next_float() for _ in range(m)])
+    u1 = prng.next_floats(m)
+    u2 = prng.next_floats(m)
     r = np.sqrt(-2.0 * np.log(np.maximum(u1, 1e-300)))
     out = np.concatenate([r * np.cos(2 * np.pi * u2), r * np.sin(2 * np.pi * u2)])
     return out[:n]
@@ -49,20 +54,17 @@ def make_activity_dataset(
         if sum(class_counts) != n_rows:
             raise ValueError("class_counts must sum to n_rows")
         n_classes = len(class_counts)
-        pool = []
-        for cid, count in enumerate(class_counts, start=1):
-            pool.extend([(i * n_rows // count, cid) for i in range(count)])
-        pool.sort()
-        labels = np.array([cid for _, cid in pool], dtype=np.int64)
+        # row i of a class of count rows sits at i * n_rows // count; the
+        # stable sort keeps the rows at one position in class id order
+        pos = np.concatenate([np.arange(c, dtype=np.int64) * n_rows // max(c, 1)
+                              for c in class_counts])
+        cids = np.repeat(np.arange(1, n_classes + 1, dtype=np.int64), class_counts)
+        labels = cids[np.argsort(pos, kind="stable")]
     else:
-        labels = np.array(
-            [1 + i % n_classes for i in range(n_rows)], dtype=np.int64
-        )
+        labels = 1 + np.arange(n_rows, dtype=np.int64) % n_classes
     centers = 0.8 * (
-        2.0 * np.array(
-            [[prng.next_float() for _ in range(n_features)]
-             for _ in range(n_classes)]
-        ) - 1.0
+        2.0 * prng.next_floats(n_classes * n_features).reshape(
+            n_classes, n_features) - 1.0
     )
     noise = _gauss_pairs(prng, n_rows * n_features).reshape(n_rows, n_features)
     feats = np.clip(centers[labels - 1] + spread * noise, -1.0, 1.0)
@@ -105,9 +107,10 @@ def write_hapt_layout(
     extra = _gauss_pairs(prng, n_rows * (total_features - ds.n_features))
     extra = np.clip(0.3 * extra, -1.0, 1.0).reshape(n_rows, -1)
     full = np.hstack([ds.features, extra])
+    line = " ".join(["% .7e"] * total_features) + "\n"
     with open(root / "Train" / "X_train.txt", "w", encoding="utf-8") as fh:
         for row in full:
-            fh.write(" ".join(f"{v: .7e}" for v in row) + "\n")
+            fh.write(line % tuple(row.tolist()))
     with open(root / "Train" / "y_train.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{int(l)}\n" for l in ds.labels)
+        fh.writelines(f"{l}\n" for l in ds.labels.tolist())
     return root

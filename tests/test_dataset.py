@@ -117,6 +117,10 @@ def test_load_hapt_reports_file_line_column(tmp_path, synthetic_hapt_dir,
                                 r"X_train.txt: .*'1_0'"),
         "not-utf8": (lambda ls: _set_cell(ls, 1, 0, "\udce9"),
                      r"X_train.txt: line 2 is not UTF-8 text"),
+        # '#' starts no comment: the matrix is numbers only
+        "comment-line": (lambda ls: ls.insert(0, "# note"),
+                         r"X_train.txt: line 1, column 1: "
+                         r"cannot parse '#' as a number"),
     }
     for name, (edit, message) in cases.items():
         root = tmp_path / name
@@ -130,6 +134,27 @@ def test_load_hapt_reports_file_line_column(tmp_path, synthetic_hapt_dir,
         assert cli.main(["ingest", "--data-dir", str(root),
                          "--out", str(tmp_path / "out.csv")]) == 3, name
         assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"],
+                         ids=["empty", "blank-lines"])
+def test_load_hapt_rejects_matrix_without_rows(tmp_path, synthetic_hapt_dir,
+                                               capsys, text):
+    import shutil
+    import warnings
+
+    from harboost import cli
+
+    root = tmp_path / "empty"
+    shutil.copytree(synthetic_hapt_dir, root)
+    (root / "Train" / "X_train.txt").write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["ingest", "--data-dir", str(root),
+                         "--out", str(tmp_path / "out.csv")])
+    assert code == 3
+    assert caught == []
+    assert "X_train.txt: no data rows" in capsys.readouterr().err
 
 
 def test_load_hapt_rejects_label_out_of_range(tmp_path, synthetic_hapt_dir):
