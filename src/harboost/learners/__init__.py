@@ -4,7 +4,8 @@ A family is its row of FAMILIES (display name, payload name, payload
 loader and group fit) plus its own module, which holds its fit and its
 model class: a new family means one table row and one module.
 fit(spec, ds, w) trains a model; every model exposes predict_batch
-(activity ids for a query matrix), to_payload (JSON-serializable dict;
+(activity ids for a query matrix), to_payload (JSON-serializable dict:
+its fields, by numerics.FieldPayload, or a tree's or forest's nodes;
 model_from_payload reverses it) and check(n_features), which raises
 ValueError if a rebuilt model's arrays do not fit its class ids and
 n_features features, as those read from a model file may not. Fitting
@@ -136,7 +137,7 @@ def _alone(fit) -> Callable:
 #: time, so that a function patched there is the one that runs.
 FAMILIES = {
     Family.KNN: FamilyRow(
-        "k-NN", "knn", knn.model_from_payload,
+        "k-NN", "knn", knn.KnnModel.from_payload,
         _alone(lambda s, ds, w: knn.fit_knn(ds, w, s.k)), raw_weights=True),
     Family.DECISION_STUMP: FamilyRow(
         "Decision Stump", "stump", trees.model_from_payload,
@@ -162,32 +163,34 @@ FAMILIES = {
             dss, ws, seeds, s.trees, s.max_depth, s.min_leaf_weight,
             s._subset(dss[0]))),
     Family.NAIVE_BAYES: FamilyRow(
-        "Naive Bayes", "naive-bayes", bayes.gaussian_nb_from_payload,
+        "Naive Bayes", "naive-bayes", bayes.GaussianNbModel.from_payload,
         _alone(lambda s, ds, w: bayes.fit_gaussian_nb(ds, w))),
     Family.KERNEL_NAIVE_BAYES: FamilyRow(
         "Naive Bayes (Kernel)", "kernel-naive-bayes",
-        bayes.kernel_nb_from_payload,
+        bayes.KernelNbModel.from_payload,
         _alone(lambda s, ds, w: bayes.fit_kernel_nb(ds, w))),
     Family.LDA: FamilyRow(
-        "Linear Discriminant Analysis", "lda", discriminant.lda_from_payload,
+        "Linear Discriminant Analysis", "lda",
+        discriminant.LdaModel.from_payload,
         _alone(lambda s, ds, w: discriminant.fit_lda(ds, w, s.ridge))),
     Family.QDA: FamilyRow(
         "Quadratic Discriminant Analysis", "qda",
-        discriminant.qda_from_payload,
+        discriminant.QdaModel.from_payload,
         _alone(lambda s, ds, w: discriminant.fit_qda(ds, w, s.ridge))),
     Family.LINEAR_REGRESSION_OVR: FamilyRow(
-        "Linear Regression", "linear-regression", regression.model_from_payload,
+        "Linear Regression", "linear-regression",
+        regression.LinearScoreModel.from_payload,
         _alone(lambda s, ds, w: regression.fit_linear(ds, w, s.ridge,
                                                       joint=False))),
     Family.VECTOR_LINEAR_REGRESSION: FamilyRow(
         "Vector Linear Regression", "vector-linear-regression",
-        regression.model_from_payload,
+        regression.LinearScoreModel.from_payload,
         _alone(lambda s, ds, w: regression.fit_linear(ds, w, s.ridge,
                                                       joint=True))),
 }
 
 _LOADERS = {row.payload: row.loader for row in FAMILIES.values()}
-_LOADERS["constant"] = constant.model_from_payload
+_LOADERS["constant"] = constant.ConstantModel.from_payload
 
 
 #: The LearnerSpec fields after family, in declaration order.

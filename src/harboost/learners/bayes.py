@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..numerics import (
     LIKELIHOOD_FLOOR,
     VAR_FLOOR,
+    FieldPayload,
     check_array,
     check_per_class,
     check_rows,
@@ -40,7 +42,8 @@ def _class_partition(ds, w):
 
 
 @dataclass(frozen=True)
-class GaussianNbModel:
+class GaussianNbModel(FieldPayload):
+    family: ClassVar[str] = "naive-bayes"
     class_ids: np.ndarray
     priors: np.ndarray   # (K,)
     means: np.ndarray    # (K, d)
@@ -59,24 +62,6 @@ class GaussianNbModel:
         check_array("means", self.means, (K, n_features))
         check_array("variances", self.variances, (K, n_features))
 
-    def to_payload(self) -> dict:
-        return {
-            "family": "naive-bayes",
-            "class_ids": self.class_ids.tolist(),
-            "priors": self.priors.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
-
-
-def gaussian_nb_from_payload(p: dict) -> GaussianNbModel:
-    return GaussianNbModel(
-        np.array(p["class_ids"], dtype=np.int64),
-        np.array(p["priors"]),
-        np.array(p["means"]),
-        np.array(p["variances"]),
-    )
-
 
 def fit_gaussian_nb(ds, w) -> GaussianNbModel:
     class_ids, priors, groups = _class_partition(ds, w)
@@ -90,13 +75,14 @@ def fit_gaussian_nb(ds, w) -> GaussianNbModel:
 
 
 @dataclass(frozen=True)
-class KernelNbModel:
+class KernelNbModel(FieldPayload):
     """Per-class per-feature weighted KDE with Silverman bandwidths.
 
     For class c and feature f the likelihood at x is
     sum_j w_j N(x; x_j, h_cf^2) / sum_j w_j, floored before the log.
     """
 
+    family: ClassVar[str] = "kernel-naive-bayes"
     class_ids: np.ndarray
     priors: np.ndarray
     samples: tuple        # per class: (n_c, d) sample matrix
@@ -163,26 +149,6 @@ class KernelNbModel:
         for c, (x, w) in enumerate(zip(self.samples, self.sample_weights)):
             n_c = check_rows(f"samples[{c}]", x, n_features)
             check_array(f"sample_weights[{c}]", w, (n_c,))
-
-    def to_payload(self) -> dict:
-        return {
-            "family": "kernel-naive-bayes",
-            "class_ids": self.class_ids.tolist(),
-            "priors": self.priors.tolist(),
-            "samples": [s.tolist() for s in self.samples],
-            "sample_weights": [sw.tolist() for sw in self.sample_weights],
-            "bandwidths": self.bandwidths.tolist(),
-        }
-
-
-def kernel_nb_from_payload(p: dict) -> KernelNbModel:
-    return KernelNbModel(
-        np.array(p["class_ids"], dtype=np.int64),
-        np.array(p["priors"]),
-        tuple(np.array(s) for s in p["samples"]),
-        tuple(np.array(sw) for sw in p["sample_weights"]),
-        np.array(p["bandwidths"]),
-    )
 
 
 def fit_kernel_nb(ds, w) -> KernelNbModel:

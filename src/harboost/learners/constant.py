@@ -9,12 +9,16 @@ majority-class baseline rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
+from ..numerics import FieldPayload
+
 
 @dataclass(frozen=True)
-class ConstantModel:
+class ConstantModel(FieldPayload):
+    family: ClassVar[str] = "constant"
     label: int
     class_ids: np.ndarray
 
@@ -25,17 +29,6 @@ class ConstantModel:
     def check(self, n_features: int) -> None:
         if self.label not in self.class_ids:
             raise ValueError(f"label {self.label} is not among class_ids")
-
-    def to_payload(self) -> dict:
-        return {
-            "family": "constant",
-            "label": int(self.label),
-            "class_ids": self.class_ids.tolist(),
-        }
-
-
-def model_from_payload(p: dict) -> ConstantModel:
-    return ConstantModel(int(p["label"]), np.array(p["class_ids"], dtype=np.int64))
 
 
 @dataclass(frozen=True)

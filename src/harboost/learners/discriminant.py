@@ -11,18 +11,19 @@ total falls back to the pooled covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..numerics import (
     VAR_FLOOR,
+    FieldPayload,
     auto_ridge,
     check_array,
     check_per_class,
     cholesky_factor,
     solve_lower,
     solve_spd,
-    weighted_covariance,
     weighted_mean,
 )
 from .bayes import _class_partition
@@ -42,20 +43,21 @@ def _floored(cov: np.ndarray, ridge: float | None) -> np.ndarray:
 def _weighted_class_stats(ds, w, groups):
     w = np.asarray(w, dtype=np.float64)
     means = np.empty((len(groups), ds.n_features))
-    pooled = np.zeros((ds.n_features, ds.n_features))
     masses = np.empty(len(groups))
+    scatters = []
     for i, (cw, X) in enumerate(groups):
         masses[i] = cw.sum()
         means[i] = weighted_mean(X, cw)
         xc = X - means[i]
-        pooled += (xc * cw[:, None]).T @ xc
-    pooled /= w.sum()
+        scatters.append((xc * cw[:, None]).T @ xc)
+    pooled = sum(scatters) / w.sum()
     pooled = (pooled + pooled.T) / 2.0
-    return means, pooled, masses
+    return means, pooled, masses, scatters
 
 
 @dataclass(frozen=True)
-class LdaModel:
+class LdaModel(FieldPayload):
+    family: ClassVar[str] = "lda"
     class_ids: np.ndarray
     priors: np.ndarray
     coef: np.ndarray       # (d, K): columns are S^-1 mu_c
@@ -72,28 +74,10 @@ class LdaModel:
         check_array("coef", self.coef, (n_features, K))
         check_array("intercept", self.intercept, (K,))
 
-    def to_payload(self) -> dict:
-        return {
-            "family": "lda",
-            "class_ids": self.class_ids.tolist(),
-            "priors": self.priors.tolist(),
-            "coef": self.coef.tolist(),
-            "intercept": self.intercept.tolist(),
-        }
-
-
-def lda_from_payload(p: dict) -> LdaModel:
-    return LdaModel(
-        np.array(p["class_ids"], dtype=np.int64),
-        np.array(p["priors"]),
-        np.array(p["coef"]),
-        np.array(p["intercept"]),
-    )
-
 
 def fit_lda(ds, w, ridge: float | None = None) -> LdaModel:
     class_ids, priors, groups = _class_partition(ds, w)
-    means, pooled, _ = _weighted_class_stats(ds, w, groups)
+    means, pooled, _, _ = _weighted_class_stats(ds, w, groups)
     cov = _floored(pooled, ridge)
     coef = solve_spd(cov, means.T)
     intercept = -0.5 * np.einsum("cd,dc->c", means, coef) + np.log(priors)
@@ -101,7 +85,8 @@ def fit_lda(ds, w, ridge: float | None = None) -> LdaModel:
 
 
 @dataclass(frozen=True)
-class QdaModel:
+class QdaModel(FieldPayload):
+    family: ClassVar[str] = "qda"
     class_ids: np.ndarray
     priors: np.ndarray
     means: np.ndarray              # (K, d)
@@ -130,39 +115,20 @@ class QdaModel:
             check_array(f"factors[{c}] diagonal", np.diagonal(f), (d,),
                         positive=True)
 
-    def to_payload(self) -> dict:
-        return {
-            "family": "qda",
-            "class_ids": self.class_ids.tolist(),
-            "priors": self.priors.tolist(),
-            "means": self.means.tolist(),
-            "factors": [f.tolist() for f in self.factors],
-            "log_dets": self.log_dets.tolist(),
-        }
-
-
-def qda_from_payload(p: dict) -> QdaModel:
-    return QdaModel(
-        np.array(p["class_ids"], dtype=np.int64),
-        np.array(p["priors"]),
-        np.array(p["means"]),
-        tuple(np.array(f) for f in p["factors"]),
-        np.array(p["log_dets"]),
-    )
-
 
 def fit_qda(ds, w, ridge: float | None = None) -> QdaModel:
     class_ids, priors, groups = _class_partition(ds, w)
     w = np.asarray(w, dtype=np.float64)
-    means, pooled, masses = _weighted_class_stats(ds, w, groups)
+    means, pooled, masses, scatters = _weighted_class_stats(ds, w, groups)
     pooled_cov = _floored(pooled, ridge)
     total = w.sum()
     factors, log_dets = [], np.empty(len(groups))
-    for i, (cw, X) in enumerate(groups):
+    for i, scatter in enumerate(scatters):
         if masses[i] < _MASS_FALLBACK * total:
             cov = pooled_cov
         else:
-            cov = _floored(weighted_covariance(X, cw), ridge)
+            cov = scatter / masses[i]
+            cov = _floored((cov + cov.T) / 2.0, ridge)
         L = cholesky_factor(cov)
         factors.append(L)
         log_dets[i] = 2.0 * np.log(np.diag(L)).sum()

@@ -10,10 +10,11 @@ rows), that row participates in its own neighbor set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ..numerics import check_array, check_rows
+from ..numerics import FieldPayload, _frozen, check_array, check_rows
 
 _BLOCK = 1024
 # distance cells a table pass partitions at once: 1 MB of float64, so the
@@ -22,7 +23,8 @@ _PASS_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
-class KnnModel:
+class KnnModel(FieldPayload):
+    family: ClassVar[str] = "knn"
     rows: np.ndarray       # (n, d) stored training rows
     labels: np.ndarray     # (n,) activity ids
     weights: np.ndarray    # (n,) vote weights, stored as passed to fit
@@ -67,42 +69,12 @@ class KnnModel:
             raise ValueError(f"{self.labels.size} labels and k={self.k} "
                              f"for {n} stored rows")
 
-    def to_payload(self) -> dict:
-        return {
-            "family": "knn",
-            "k": self.k,
-            "rows": self.rows.tolist(),
-            "labels": self.labels.tolist(),
-            "weights": self.weights.tolist(),
-            "class_ids": self.class_ids.tolist(),
-        }
-
-
-def model_from_payload(p: dict) -> KnnModel:
-    # rows may arrive as a pre-built read-only array shared across an
-    # ensemble's rounds; asarray keeps that identity intact
-    return KnnModel(
-        rows=_frozen(np.asarray(p["rows"], dtype=np.float64)),
-        labels=_frozen(np.asarray(p["labels"], dtype=np.int64)),
-        weights=_frozen(np.asarray(p["weights"], dtype=np.float64)),
-        k=p["k"],
-        class_ids=np.array(p["class_ids"], dtype=np.int64),
-    )
-
 
 def _check_queries(X, d: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != d:
         raise ValueError(f"query matrix has shape {X.shape}, expected (*, {d})")
     return X
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    # read-only inputs are shared, everything else is snapshotted
-    if a.flags.writeable:
-        a = a.copy()
-        a.flags.writeable = False
-    return a
 
 
 def fit_knn(ds, w, k: int) -> KnnModel:

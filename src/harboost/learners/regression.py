@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..numerics import (
+    FieldPayload,
     auto_ridge,
     check_array,
     cholesky_factor,
@@ -28,10 +29,10 @@ from ..numerics import (
 
 
 @dataclass(frozen=True)
-class LinearScoreModel:
+class LinearScoreModel(FieldPayload):
     class_ids: np.ndarray
     coef: np.ndarray  # (d+1, K), intercept row first
-    kind: str         # "linear-regression" | "vector-linear-regression"
+    family: str       # "linear-regression" | "vector-linear-regression"
 
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -40,21 +41,6 @@ class LinearScoreModel:
 
     def check(self, n_features: int) -> None:
         check_array("coef", self.coef, (n_features + 1, len(self.class_ids)))
-
-    def to_payload(self) -> dict:
-        return {
-            "family": self.kind,
-            "class_ids": self.class_ids.tolist(),
-            "coef": self.coef.tolist(),
-        }
-
-
-def model_from_payload(p: dict) -> LinearScoreModel:
-    return LinearScoreModel(
-        np.array(p["class_ids"], dtype=np.int64),
-        np.array(p["coef"]),
-        p["family"],
-    )
 
 
 def fit_linear(ds, w, ridge: float | None, joint: bool) -> LinearScoreModel:

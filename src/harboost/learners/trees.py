@@ -65,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..numerics import _frozen
 from ..rng import SplitMix64, derive_seed
 
 _QUANTILE_CANDIDATES = 16
@@ -210,9 +211,9 @@ class ForestModel:
 
 
 def model_from_payload(p: dict):
-    """Rebuild a tree (its nodes numbered in preorder) or a forest,
-    rejecting structures that cannot route every row."""
-    class_ids = np.array(p["class_ids"], dtype=np.int64)
+    """Rebuild a tree (its nodes numbered in preorder) or a forest, as
+    read-only arrays, rejecting structures that cannot route every row."""
+    class_ids = _frozen(np.array(p["class_ids"], dtype=np.int64))
     if p["family"] == "forest":
         forest = ForestModel(
             tuple(model_from_payload(t) for t in p["trees"]), class_ids
@@ -257,12 +258,12 @@ def model_from_payload(p: dict):
     add(p["root"], 0)
     feature, thresholds, children, leaf, depth = zip(*nodes)
     width = max(1, *map(len, thresholds))
-    return TreeModel(
+    return TreeModel(*map(_frozen, (
         np.array(feature, dtype=np.int64),
         np.array([t + (math.inf,) * (width - len(t)) for t in thresholds]),
         np.array([c + c[-1:] * (width + 1 - len(c)) for c in children],
                  dtype=np.int64),
-        np.array(leaf, dtype=np.int64), max(depth), class_ids, p["family"],
+        np.array(leaf, dtype=np.int64))), max(depth), class_ids, p["family"],
     )
 
 

@@ -153,7 +153,8 @@ def load_model(path) -> LoadedModel:
     shared = None
     if doc.get("shared_knn_rows") is not None:
         try:
-            shared = np.array(doc["shared_knn_rows"], dtype=np.float64)
+            # any dtype: KnnModel.check rejects a non-numeric matrix
+            shared = np.array(doc["shared_knn_rows"])
         except (ValueError, TypeError) as e:
             raise ModelFormatError(f"{path}: shared_knn_rows: {e}") from None
         shared.flags.writeable = False

@@ -1,9 +1,11 @@
-"""Weighted statistics, small dense SPD linear algebra and array checks
-for the learners."""
+"""Weighted statistics, small dense SPD linear algebra, array checks and
+the field payload codec for the learners."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,6 +48,49 @@ def check_array(name: str, a, shape, positive: bool = False) -> None:
             f"{name} holds {a[bad].flat[0]}, expected finite "
             f"values{' above 0' if positive else ''}"
         )
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    # read-only inputs are shared, everything else is snapshotted
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
+class FieldPayload:
+    """A model dataclass whose payload is {"family": family} plus every
+    field by name, an array as nested lists and a tuple of arrays as a
+    list of them. from_payload reads the fields back in order as
+    read-only arrays, class_ids as int64 and the rest in the dtype their
+    JSON values give (a read-only array passes through as itself), and
+    any other field, such as k-NN's k, as it is, for check to judge."""
+
+    family: ClassVar[str]
+
+    def to_payload(self) -> dict:
+        out = {"family": self.family}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, np.ndarray):
+                v = v.tolist()
+            elif isinstance(v, tuple):
+                v = [a.tolist() for a in v]
+            out[f.name] = v
+        return out
+
+    @classmethod
+    def from_payload(cls, p: dict):
+        def read(f):
+            v = p[f.name]
+            if f.type in ("tuple", tuple):
+                return tuple(_frozen(np.asarray(a)) for a in v)
+            if f.type in ("np.ndarray", np.ndarray):
+                dtype = np.int64 if f.name == "class_ids" else None
+                return _frozen(np.asarray(v, dtype=dtype))
+            return v
+
+        return cls(*map(read, fields(cls)))
 
 
 def check_rows(name: str, a, d: int) -> int:

@@ -53,6 +53,21 @@ def test_no_module_outside_learners_imports_a_family():
     assert offenders == []
 
 
+def test_only_trees_write_their_own_payload_code():
+    # every other family's payload is its fields, through
+    # numerics.FieldPayload; trees nest their nodes
+    offenders = []
+    for name in sorted(FAMILY_MODULES - {"trees"}):
+        tree = ast.parse((PACKAGE / "learners" / f"{name}.py").read_text())
+        offenders += [
+            f"{name}.py: {node.name}" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and (node.name == "to_payload"
+                 or node.name.endswith("from_payload"))
+        ]
+    assert offenders == []
+
+
 def test_exports_are_public_names_and_resolve():
     assert harboost.__all__
     for name in harboost.__all__:

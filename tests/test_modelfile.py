@@ -272,6 +272,15 @@ def _drop_last(rows):
          "3 labels and k=4 for 3 stored rows"),
         (Family.KNN, lambda m: m["labels"].__setitem__(0, 12),
          "a row label is not among class_ids"),
+        (Family.KNN, lambda m: m.update(weights=list(map(str, m["weights"]))),
+         "weights is not numeric"),
+        (Family.KNN, lambda m: m.update(labels=list(map(str, m["labels"]))),
+         "a row label is not among class_ids"),
+        (Family.KNN, lambda m: m["labels"].__setitem__(0, 1.5),
+         "a row label is not among class_ids"),
+        (Family.KNN, lambda m: m.update(
+            rows=[list(map(str, row)) for row in m["rows"]]),
+         "rows is not numeric"),
         (Family.NAIVE_BAYES, lambda m: m.update(class_ids=[1, 2, 3, 9]),
          r"model class_ids \[1, 2, 3, 9\] are not among the file's"),
     ],
@@ -284,16 +293,20 @@ def _drop_last(rows):
          "lda-coef-row", "lda-intercept", "qda-factor", "qda-nan-log-det",
          "qda-zero-pivot",
          "knn-rows-column", "knn-k-above-rows", "knn-label",
-         "foreign-class-ids"],
+         "knn-weights-str", "knn-labels-str", "knn-label-fraction",
+         "knn-rows-str", "foreign-class-ids"],
 )
 def test_malformed_array_payload_rejected(tmp_path, family, edit, message):
     path = _family_file(tmp_path, family, k=4)
     doc = json.loads(path.read_text())
-    if family is Family.KNN:  # edit the round's own copy of the rows
-        doc["rounds"][0]["model"]["rows"] = doc.pop("shared_knn_rows")
-        doc["shared_knn_rows"] = None
+    model = doc["rounds"][0]["model"]
+    if family is Family.KNN:  # edit the rows where the file keeps them
         doc["rounds"] = doc["rounds"][:1]
-    edit(doc["rounds"][0]["model"])
+        model["rows"] = doc["shared_knn_rows"]
+        edit(model)
+        doc["shared_knn_rows"], model["rows"] = model["rows"], "shared"
+    else:
+        edit(model)
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match=f"round 1: {message}"):
         load_model(path)

@@ -2,8 +2,11 @@
 
 load_model rebuilds each round's model and runs its check(n_features),
 so a check that rejected a model fit_weighted can produce, or a loader
-that changed a value, fails here on some drawn dataset.
+that changed a value, fails here on some drawn dataset. Every array a
+loader builds is read-only.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -33,6 +36,18 @@ def tasks(draw):
     return ds
 
 
+def arrays(value):
+    """Every array in a model's fields, through tuples and nested models."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from arrays(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from arrays(getattr(value, f.name))
+
+
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(ds=tasks(), k=st.integers(1, 4), depth=st.integers(1, 4),
@@ -46,6 +61,8 @@ def test_reload_predicts_bit_identically(tmp_path_factory, family, ds, k,
     loaded = load_model(path).ensemble
     assert [(r.alpha, r.epsilon, r.model.to_payload()) for r in loaded.rounds] \
         == [(r.alpha, r.epsilon, r.model.to_payload()) for r in ens.rounds]
+    for r in loaded.rounds:
+        assert not any(a.flags.writeable for a in arrays(r.model))
     queries = np.vstack([
         ds.features,
         np.random.default_rng(seed).uniform(-1.5, 1.5, (50, ds.n_features)),
