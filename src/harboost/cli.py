@@ -4,7 +4,8 @@ Subcommands: ingest, summarize, evaluate, compare, train, predict.
 Dataset input comes from --data-dir (HAPT layout; defaults to the
 HAPT_DATA_DIR environment variable) or --from-csv (a previously
 ingested CSV). Exit codes: 0 success, 2 usage or validation error
-(including missing files), 3 data-content error, 4 internal error.
+(including missing files, paths that are directories and files it may
+not open), 3 data-content error, 4 internal error, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -168,15 +169,9 @@ def _validate_run(args, specs, ds: Dataset, needs_folds: bool) -> None:
     if needs_folds and args.threads < 1:
         common.append("--threads: threads must be >= 1")
     for spec in specs:
-        problems = list(common)
-        try:
-            spec.validate(ds.n_features)
-        except ValueError as e:
-            problems.extend(f"--{p.split()[0].replace('_', '-')}: {p}"
-                            for p in str(e).split("; "))
-        if spec.family is Family.KNN and spec.k > train_rows:
-            problems.append(f"--k: k={spec.k} exceeds the {train_rows} rows "
-                            f"of the smallest training set")
+        problems = common + [
+            f"--{name.replace('_', '-')}: {message}"
+            for name, message in spec.problems(ds.n_features, train_rows)]
         if problems:
             raise CliError("invalid configuration:\n  " + "\n  ".join(problems))
 
@@ -322,11 +317,12 @@ def main(argv=None) -> int:
     except (DataError, ModelFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (CliError, FileNotFoundError) as e:
+    except (CliError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        return 4
+        return 130
     except Exception as e:  # pragma: no cover - defensive
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4

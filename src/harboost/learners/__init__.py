@@ -47,6 +47,11 @@ class Family(enum.Enum):
     VECTOR_LINEAR_REGRESSION = "vector-linear-regression"
 
 
+def _bounded(default, low, help=None):
+    """A hyperparameter field whose value, if set, is finite and >= low."""
+    return field(default=default, metadata={"low": low, "help": help})
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
     """A learner family plus its hyperparameters.
@@ -55,45 +60,48 @@ class LearnerSpec:
     means ceil(sqrt(d)) at fit time; ridge=None means the scale-aware
     default from the numerics module. Every field after family is also
     a command-line flag (max_depth is --max-depth) with the field's
-    default, and metadata["help"] as its help text.
+    default, and metadata["help"] as its help text; metadata["low"] is
+    the least value a bounded field takes.
     """
 
     family: Family
-    k: int = field(default=12, metadata={"help": "k-NN neighbor count"})
-    max_depth: int = 10
-    min_leaf_weight: float = 1e-4
-    bins: int = field(default=4, metadata={"help": "multiway-tree intervals"})
-    trees: int = field(default=10, metadata={"help": "forest size"})
-    subset_size: int | None = field(default=None, metadata={
-        "help": "random-tree feature subset (default ceil(sqrt(d)))"})
-    ridge: float | None = field(default=None, metadata={
-        "help": "regularization for regressions/discriminants"})
+    k: int = _bounded(12, 1, "k-NN neighbor count")
+    max_depth: int = _bounded(10, 1)
+    min_leaf_weight: float = _bounded(1e-4, 0)
+    bins: int = _bounded(4, 2, "multiway-tree intervals")
+    trees: int = _bounded(10, 1, "forest size")
+    subset_size: int | None = _bounded(
+        None, 1, "random-tree feature subset (default ceil(sqrt(d)))")
+    ridge: float | None = _bounded(
+        None, 0, "regularization for regressions/discriminants")
     seed: int = field(default=0, metadata={"help": "top-level seed"})
 
-    def validate(self, n_features: int | None = None) -> None:
-        problems = []
-        if self.k < 1:
-            problems.append("k must be >= 1")
-        if self.max_depth < 1:
-            problems.append("max_depth must be >= 1")
-        if self.min_leaf_weight < 0:
-            problems.append("min_leaf_weight must be >= 0")
-        if self.bins < 2:
-            problems.append("bins must be >= 2")
-        if self.trees < 1:
-            problems.append("trees must be >= 1")
-        if self.subset_size is not None and self.subset_size < 1:
-            problems.append("subset_size must be >= 1")
-        if (
-            n_features is not None
-            and self.subset_size is not None
-            and self.subset_size > n_features
-        ):
-            problems.append(f"subset_size exceeds the {n_features} features")
-        if self.ridge is not None and self.ridge < 0:
-            problems.append("ridge must be >= 0")
-        if problems:
-            raise ValueError("; ".join(problems))
+    def problems(self, n_features: int | None = None,
+                 train_rows: int | None = None) -> list[tuple[str, str]]:
+        """(field, message) for each bounded field set to a non-finite
+        value or one below its bound, for a subset_size above n_features
+        and for a k-NN k above train_rows (the smallest training set)."""
+        found = []
+        for f in HYPERPARAMETERS:
+            value, low = getattr(self, f.name), f.metadata.get("low")
+            if value is None or low is None:
+                continue
+            if isinstance(value, float) and not math.isfinite(value):
+                found.append((f.name, f"{f.name} must be finite"))
+            elif value < low:
+                found.append((f.name, f"{f.name} must be >= {low}"))
+        if n_features is not None and (self.subset_size or 0) > n_features:
+            found.append(("subset_size",
+                          f"subset_size exceeds the {n_features} features"))
+        if (train_rows is not None and self.family is Family.KNN
+                and self.k > train_rows):
+            found.append(("k", f"k={self.k} exceeds the {train_rows} rows "
+                               f"of the smallest training set"))
+        return found
+
+    def validate(self, n_features=None, train_rows=None) -> None:
+        if found := self.problems(n_features, train_rows):
+            raise ValueError("; ".join(message for _, message in found))
 
     def fit_weighted(self, ds: Dataset, w, seed: int | None = None):
         """Train this family on weighted data; seed overrides self.seed."""
@@ -230,10 +238,10 @@ def fit_group(spec, datasets, weights, seeds) -> list:
                 for ds, w, seed in zip(datasets, weights, seeds, strict=True)]
     if len({ds.n_features for ds in datasets}) > 1:
         raise ValueError("datasets fitted together need the same features")
+    spec.validate(datasets[0].n_features, min(ds.n_rows for ds in datasets))
     row = FAMILIES[spec.family]
     checked = []
     for ds, w in zip(datasets, weights, strict=True):
-        spec.validate(ds.n_features)
         w = check_weights(w, ds.n_rows)
         checked.append(w if row.raw_weights else w / w.sum())
     return row.fit(spec, datasets, checked, seeds)

@@ -78,8 +78,6 @@ def _check_queries(X, d: int) -> np.ndarray:
 
 
 def fit_knn(ds, w, k: int) -> KnnModel:
-    if k > ds.n_rows:
-        raise ValueError(f"k={k} exceeds the {ds.n_rows} stored rows")
     rows = _frozen(np.asarray(ds.features, dtype=np.float64))
     labels = _frozen(np.asarray(ds.labels, dtype=np.int64))
     weights = _frozen(np.asarray(w, dtype=np.float64))

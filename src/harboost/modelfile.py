@@ -19,6 +19,7 @@ import numpy as np
 
 from .boosting import BoostedEnsemble, BoostRound
 from .learners import (
+    FAMILIES,
     HYPERPARAMETERS,
     LearnerSpec,
     model_from_payload,
@@ -150,6 +151,15 @@ def load_model(path) -> LoadedModel:
             f"{path}: class_ids {class_ids.tolist()} are not strictly "
             f"increasing"
         )
+    n_features = len(doc["feature_names"])
+    try:
+        spec = spec_from_payload(doc["base_spec"])
+        spec.validate(n_features)
+    except (ValueError, OverflowError) as e:  # OverflowError: float(10**400)
+        raise ModelFormatError(f"{path}: base_spec: {e}") from None
+    if not doc["rounds"]:
+        raise ModelFormatError(f"{path}: rounds is empty")
+    expected = FAMILIES[spec.family].payload  # every round's family
     shared = None
     if doc.get("shared_knn_rows") is not None:
         try:
@@ -158,7 +168,6 @@ def load_model(path) -> LoadedModel:
         except (ValueError, TypeError) as e:
             raise ModelFormatError(f"{path}: shared_knn_rows: {e}") from None
         shared.flags.writeable = False
-    n_features = len(doc["feature_names"])
     rounds = []
     for i, r in enumerate(doc["rounds"], start=1):
         where = f"{path}: round {i}"
@@ -190,11 +199,12 @@ def load_model(path) -> LoadedModel:
             model.check(n_features)
         except ValueError as e:
             raise ModelFormatError(f"{where}: {e}") from None
+        if payload["family"] != expected:
+            raise ModelFormatError(
+                f"{where}: a {payload['family']!r} model, but base_spec "
+                f"{spec.family.value!r} fits {expected!r} models"
+            )
         rounds.append(BoostRound(model, alpha, epsilon))
-    try:
-        spec = spec_from_payload(doc["base_spec"])
-    except ValueError as e:  # an unknown family
-        raise ModelFormatError(f"{path}: base_spec: {e}") from None
     ensemble = BoostedEnsemble(
         rounds=tuple(rounds),
         num_classes=num_classes,

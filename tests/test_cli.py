@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from harboost import cli
 from harboost.cli import main
 from harboost.dataset import load_csv, save_csv
-from harboost.learners import bayes
+from harboost.learners import HYPERPARAMETERS, bayes, value_type
 from harboost.synthetic import write_hapt_layout
 
 
@@ -160,6 +161,28 @@ def test_train_k_above_row_count_exit_2(capsys, tiny_csv, tmp_path):
     assert "--k: k=97 exceeds the 96 rows" in stderr
 
 
+def _out_of_range_flags():
+    """Each bounded flag one below its bound, and each float flag at
+    nan, inf and -inf, as --flag=value."""
+    for f in HYPERPARAMETERS:
+        flag = "--" + f.name.replace("_", "-")
+        if f.metadata.get("low") is not None:
+            yield f"{flag}={f.metadata['low'] - 1}"
+        if value_type(f) is float:
+            yield from (f"{flag}={v}" for v in ("nan", "inf", "-inf"))
+
+
+@pytest.mark.parametrize("arg", list(_out_of_range_flags()))
+def test_out_of_range_hyperparameter_exit_2(capsys, tiny_csv, arg):
+    # --ridge nan and inf exited 4 (SingularMatrixError); --min-leaf-weight
+    # nan and inf exited 0 with trees that never split
+    code, stdout, stderr = run(capsys, ["evaluate", "--from-csv", tiny_csv,
+                                        "--folds", "2", "--rounds", "1", arg])
+    assert code == 2
+    assert stdout == ""
+    assert f"{arg.split('=')[0]}: " in stderr
+
+
 @pytest.mark.parametrize("command", ["evaluate", "compare", "train"])
 def test_single_class_data_exit_3(capsys, tiny_csv, tmp_path, command):
     ds = load_csv(tiny_csv)
@@ -202,6 +225,45 @@ def test_value_error_inside_a_fit_exits_4(capsys, tiny_csv, monkeypatch):
                                    "--learner", "naive-bayes", "--folds", "2"])
     assert code == 4
     assert "internal error: ValueError: broken fit" in stderr
+
+
+def test_interrupt_exits_130(capsys, tiny_csv, monkeypatch):
+    def interrupted(ds, w):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bayes, "fit_gaussian_nb", interrupted)
+    code, _, _ = run(capsys, ["evaluate", "--from-csv", tiny_csv,
+                              "--learner", "naive-bayes", "--folds", "2"])
+    assert code == 130
+
+
+@pytest.mark.parametrize("flag", ["--out", "--model-out"])
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+def test_output_path_that_cannot_be_a_file_exit_2(capsys, tiny_csv, tmp_path,
+                                                  flag, where):
+    # a directory exited 4 with "internal error: IsADirectoryError"
+    out = tmp_path if where == "directory" else Path(tiny_csv) / "x"
+    command = "train" if flag == "--model-out" else "evaluate"
+    code, _, stderr = run(capsys, [command, "--from-csv", tiny_csv,
+                                   "--learner", "naive-bayes", "--rounds", "1",
+                                   flag, str(out)])
+    assert code == 2
+    assert "internal error" not in stderr
+
+
+@pytest.mark.parametrize("error,exit_code", [
+    (PermissionError(13, "Permission denied"), 2),
+    (OSError(28, "No space left on device"), 4),
+], ids=["permission", "disk-full"])
+def test_write_error_exit_codes(capsys, tiny_csv, tmp_path, monkeypatch,
+                                error, exit_code):
+    def failing(ds, path):
+        raise error
+
+    monkeypatch.setattr(cli, "save_csv", failing)
+    code, _, _ = run(capsys, ["ingest", "--from-csv", tiny_csv,
+                              "--out", str(tmp_path / "o.csv")])
+    assert code == exit_code
 
 
 def test_evaluate_bad_csv_exit_3(capsys, tmp_path):
@@ -407,6 +469,30 @@ def test_save_load_predict_equals_in_memory(capsys, tiny_csv, tmp_path):
 )
 def test_predict_malformed_model_exit_3(capsys, tiny_csv, tmp_path, edit,
                                         message):
+    model = tmp_path / "m.json"
+    run(capsys, ["train", "--from-csv", tiny_csv, "--learner", "naive-bayes",
+                 "--rounds", "2", "--model-out", str(model)])
+    doc = json.loads(model.read_text())
+    edit(doc)
+    model.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, ["predict", "--model", str(model),
+                                        "--from-csv", tiny_csv])
+    assert code == 3
+    assert stdout == ""
+    assert message in stderr
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["base_spec"].update(k=0), "base_spec: k must be >= 1"),
+    (lambda doc: doc["base_spec"].update(ridge=math.nan),
+     "base_spec: ridge must be finite"),
+    (lambda doc: doc.update(rounds=[]), "rounds is empty"),
+    (lambda doc: doc["base_spec"].update(family="lda"),
+     "round 1: a 'naive-bayes' model, but base_spec 'lda'"),
+], ids=["spec-k-zero", "spec-ridge-nan", "rounds-empty", "family-mismatch"])
+def test_predict_model_inconsistent_with_its_spec_exit_3(
+        capsys, tiny_csv, tmp_path, edit, message):
+    # the empty ensemble exited 4 (IndexError); the others exited 0
     model = tmp_path / "m.json"
     run(capsys, ["train", "--from-csv", tiny_csv, "--learner", "naive-bayes",
                  "--rounds", "2", "--model-out", str(model)])

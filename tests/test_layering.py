@@ -12,6 +12,7 @@ import types
 from pathlib import Path
 
 import harboost
+from harboost.learners import Family
 
 PACKAGE = Path(harboost.__file__).parent
 FAMILY_MODULES = {p.stem for p in (PACKAGE / "learners").glob("*.py")
@@ -50,6 +51,22 @@ def test_no_module_outside_learners_imports_a_family():
             if parts[0] == "learners" and len(parts) > 1 \
                     and parts[1] in FAMILY_MODULES:
                 offenders.append(f"{path.name}: {name}")
+    assert offenders == []
+
+
+def test_no_module_outside_learners_names_a_family():
+    # what sets a family apart lives in its FAMILIES row and LearnerSpec,
+    # so no other layer branches on Family.KNN and the like
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        offenders += [
+            f"{path.name}:{node.lineno}: Family.{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and node.attr in Family.__members__
+            and "Family" in (getattr(node.value, "id", None),
+                             getattr(node.value, "attr", None))
+        ]
     assert offenders == []
 
 

@@ -198,6 +198,62 @@ def test_wrong_value_types_rejected(tmp_path, edit, message):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda spec: spec.update(k=0), "k must be >= 1"),
+        (lambda spec: spec.update(trees=-4), "trees must be >= 1"),
+        (lambda spec: spec.update(ridge=-1.0), "ridge must be >= 0"),
+        (lambda spec: spec.update(min_leaf_weight=float("nan")),
+         "min_leaf_weight must be finite"),
+        (lambda spec: spec.update(subset_size=4),
+         "subset_size exceeds the 3 features"),
+        # float() of the integer raised OverflowError (exit 4)
+        (lambda spec: spec.update(ridge=10 ** 400), "OverflowError|too large"),
+    ],
+    ids=["k-zero", "trees-negative", "ridge-negative", "min-leaf-weight-nan",
+         "subset-above-features", "ridge-overflow"],
+)
+def test_base_spec_out_of_range_rejected(tmp_path, edit, message):
+    # each of these loaded, and predict exited 0
+    path = _naive_bayes_file(tmp_path)
+    doc = json.loads(path.read_text())
+    edit(doc["base_spec"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=f"base_spec: .*({message})"):
+        load_model(path)
+
+
+def test_empty_rounds_rejected(tmp_path):
+    # this loaded, then predict raised IndexError (exit 4)
+    path = _naive_bayes_file(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["rounds"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="rounds is empty"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("family,base_family,message", [
+    (Family.KNN, "lda", "round 1: a 'knn' model, but base_spec 'lda' fits "
+                        "'lda' models"),
+    (Family.DECISION_TREE, "decision-stump",
+     "round 1: a 'tree' model, but base_spec 'decision-stump' fits 'stump'"),
+    (Family.LINEAR_REGRESSION_OVR, "vector-linear-regression",
+     "round 1: a 'linear-regression' model, but base_spec "
+     "'vector-linear-regression'"),
+], ids=["knn-as-lda", "tree-as-stump", "linreg-as-vector"])
+def test_round_family_must_match_base_spec(tmp_path, family, base_family,
+                                           message):
+    # each of these loaded, and predict exited 0
+    path = _family_file(tmp_path, family)
+    doc = json.loads(path.read_text())
+    doc["base_spec"]["family"] = base_family
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
 def _family_file(tmp_path, family, **kwargs):
     """A saved two-round model of 4 classes and 3 features."""
     ds = make_activity_dataset(60, 4, 3, seed=37, spread=0.5)
