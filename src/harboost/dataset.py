@@ -236,9 +236,10 @@ def _parse_activity_names(path: Path) -> None:
     seen = {}
     for ln, line in _lines(path):
         parts = line.split(None, 1)
-        if len(parts) != 2 or not parts[0].lstrip("-").isdigit():
-            raise DataError(f"{path}: line {ln}: expected '<id> <NAME>'")
-        seen[int(parts[0])] = parts[1].strip()
+        try:
+            seen[int(parts[0])] = parts[1].strip()
+        except (IndexError, ValueError):  # one word, or no integer id
+            raise DataError(f"{path}: line {ln}: expected '<id> <NAME>'") from None
     expected = {int(l): l.name for l in ActivityLabel}
     if seen != expected:
         raise DataError(

@@ -250,6 +250,7 @@ def _run_tasks(job: _CVJob, tasks, workers: int) -> list:
     # Imported here because loading the process-pool modules takes about
     # 15 ms, which every serial run and every `import harboost` would pay.
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=_pool_context(),
@@ -259,8 +260,13 @@ def _run_tasks(job: _CVJob, tasks, workers: int) -> list:
             with _sigint_held():  # the workers start inside submit
                 futures = [pool.submit(_worker_task, i, f) for i, f in tasks]
             return [fut.result() for fut in futures]
-        except BaseException:
+        except BaseException as e:
+            started = list(pool._processes.values())  # shutdown drops them
             pool.shutdown(cancel_futures=True)
+            # A Ctrl-C can end a worker before this process sees it
+            if isinstance(e, BrokenProcessPool) and any(
+                    p.exitcode == -signal.SIGINT for p in started):
+                raise KeyboardInterrupt from None
             raise
 
 

@@ -29,10 +29,6 @@ from .learners import (
 
 FORMAT_VERSION = 1
 _KIND = "harboost.model"
-_DOC_KEYS = ("base_spec", "num_classes", "class_ids", "rounds_requested",
-             "seed", "rounds", "feature_names", "metadata")
-_ROUND_KEYS = ("alpha", "epsilon", "model")
-_METADATA_KEYS = ("n_rows", "dataset_digest")
 
 
 class ModelFormatError(Exception):
@@ -86,30 +82,45 @@ def save_model(path, ensemble: BoostedEnsemble, feature_names,
     )
 
 
-def _require_keys(obj, keys, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"{where}: not a JSON object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ModelFormatError(f"{where}: missing key(s): {', '.join(missing)}")
+#: A kind is a _TYPES key ("?": or null), an object's {key: kind} or an
+#: array's (noun, kind), noun naming each element ("{}": its index from 1).
+#: A round's model is walked to its family; its loader and check do the rest.
+_DOC = {
+    "base_spec": {"family": "string", **{  # a None default may be null
+        f.name: ("number" if value_type(f) is float else "integer")
+        + ("?" if f.default is None else "") for f in HYPERPARAMETERS}},
+    "num_classes": "integer",
+    "class_ids": ("a class id", "integer"),
+    "rounds_requested": "integer",
+    "seed": "integer",
+    "rounds": ("round {}", {"alpha": "number", "epsilon": "number",
+                            "model": {"family": "string"}}),
+    "feature_names": ("a feature name", "string"),
+    "metadata": {"n_rows": "integer", "dataset_digest": "string"},
+}
+_TYPES = {"integer": int, "number": (int, float), "string": str,
+          "integer?": (int, type(None)), "number?": (int, float, type(None))}
 
 
-_JSON_TYPES = {"integer": int, "number": (int, float), "array": list}
-
-
-def _require_type(value, kind: str, where: str):
-    """value, if it is a JSON value of `kind` (a key of _JSON_TYPES)."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-        raise ModelFormatError(f"{where} is {value!r}, not a JSON {kind}")
-    return value
-
-
-def _check_spec(p, where: str) -> None:
-    _require_keys(p, ["family", *(f.name for f in HYPERPARAMETERS)], where)
-    for f in HYPERPARAMETERS:  # a field that defaults to None may be null
-        if p[f.name] is not None or f.default is not None:
-            kind = "number" if value_type(f) is float else "integer"
-            _require_type(p[f.name], kind, f"{where}: {f.name}")
+def _walk(value, kind, where: str, name: str | None = None) -> None:
+    """Raise ModelFormatError unless value, named name in where, is kind."""
+    here = where if name is None else f"{where}: {name}"
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ModelFormatError(f"{here}: not a JSON object")
+        if missing := [k for k in kind if k not in value]:
+            raise ModelFormatError(
+                f"{here}: missing key(s): {', '.join(missing)}")
+        for key, of in kind.items():
+            _walk(value[key], of, here, key)
+    elif isinstance(kind, tuple):
+        if not isinstance(value, list):
+            raise ModelFormatError(f"{here} is {value!r}, not a JSON array")
+        for i, item in enumerate(value, start=1):
+            _walk(item, kind[1], where, kind[0].format(i))
+    elif isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
+        raise ModelFormatError(
+            f"{here} is {value!r}, not a JSON {kind.rstrip('?')}")
 
 
 def load_model(path) -> LoadedModel:
@@ -118,7 +129,7 @@ def load_model(path) -> LoadedModel:
         raise FileNotFoundError(f"missing file: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also not UTF-8, or an int of over 4300 digits
         raise ModelFormatError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(doc, dict) or doc.get("kind") != _KIND:
         raise ModelFormatError(f"{path}: not a harboost model file")
@@ -128,19 +139,12 @@ def load_model(path) -> LoadedModel:
             f"{path}: format_version {version!r} is not supported "
             f"(expected {FORMAT_VERSION})"
         )
-    _require_keys(doc, _DOC_KEYS, str(path))
-    _require_keys(doc["metadata"], _METADATA_KEYS, f"{path}: metadata")
-    _check_spec(doc["base_spec"], f"{path}: base_spec")
-    for key in ("num_classes", "rounds_requested", "seed"):
-        _require_type(doc[key], "integer", f"{path}: {key}")
-    _require_type(doc["metadata"]["n_rows"], "integer",
-                  f"{path}: metadata: n_rows")
-    for key in ("class_ids", "rounds", "feature_names"):
-        _require_type(doc[key], "array", f"{path}: {key}")
-    for c in doc["class_ids"]:
-        _require_type(c, "integer", f"{path}: a class id")
+    _walk(doc, _DOC, str(path))
     num_classes = doc["num_classes"]
-    class_ids = np.array(doc["class_ids"], dtype=np.int64)
+    try:
+        class_ids = np.array(doc["class_ids"], dtype=np.int64)
+    except OverflowError:
+        raise ModelFormatError(f"{path}: class_ids beyond int64") from None
     if class_ids.shape != (num_classes,):
         raise ModelFormatError(
             f"{path}: {len(doc['class_ids'])} class_ids for "
@@ -171,24 +175,19 @@ def load_model(path) -> LoadedModel:
     rounds = []
     for i, r in enumerate(doc["rounds"], start=1):
         where = f"{path}: round {i}"
-        _require_keys(r, _ROUND_KEYS, where)
-        alpha = float(_require_type(r["alpha"], "number", f"{where}: alpha"))
-        epsilon = float(
-            _require_type(r["epsilon"], "number", f"{where}: epsilon")
-        )
-        if not math.isfinite(alpha):
-            raise ModelFormatError(f"{where}: non-finite alpha {alpha}")
         payload = r["model"]
-        _require_keys(payload, ("family",), f"{where}: model")
         if isinstance(payload.get("rows"), str):
             if payload["rows"] != "shared" or shared is None:
                 raise ModelFormatError(f"{path}: dangling shared-rows reference")
             payload = {**payload, "rows": shared}
         try:
+            alpha, epsilon = float(r["alpha"]), float(r["epsilon"])
             model = model_from_payload(payload)
         except (ValueError, TypeError, KeyError, OverflowError) as e:
-            # OverflowError: int() of a JSON Infinity
+            # OverflowError: float() of 10**400, int() of a JSON Infinity
             raise ModelFormatError(f"{where}: {type(e).__name__}: {e}") from None
+        if not math.isfinite(alpha):
+            raise ModelFormatError(f"{where}: non-finite alpha {alpha}")
         ids = model.class_ids
         if ids.ndim != 1 or not ids.size or not np.isin(ids, class_ids).all():
             raise ModelFormatError(
@@ -218,5 +217,5 @@ def load_model(path) -> LoadedModel:
         ensemble=ensemble,
         feature_names=tuple(doc["feature_names"]),
         n_rows=meta["n_rows"],
-        dataset_digest=str(meta["dataset_digest"]),
+        dataset_digest=meta["dataset_digest"],
     )

@@ -136,6 +136,29 @@ def test_load_hapt_reports_file_line_column(tmp_path, synthetic_hapt_dir,
         assert "internal error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("first_id", ["\u00b2", "7" * 5000],
+                         ids=["superscript-two", "5000-digit"])
+def test_unreadable_activity_id_reports_its_line(tmp_path, synthetic_hapt_dir,
+                                                 capsys, first_id):
+    # str.isdigit passed each of these, then int() raised (exit 4)
+    import shutil
+
+    from harboost import cli
+
+    root = tmp_path / "broken"
+    shutil.copytree(synthetic_hapt_dir, root)
+    path = root / "activity_labels.txt"
+    lines = path.read_text().splitlines()
+    lines[0] = f"{first_id} WALKING"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=r"activity_labels.txt: line 1: "
+                                        r"expected '<id> <NAME>'"):
+        load_hapt(root)
+    assert cli.main(["ingest", "--data-dir", str(root),
+                     "--out", str(tmp_path / "out.csv")]) == 3
+    assert "internal error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n\t\n"],
                          ids=["empty", "blank-lines"])
 def test_load_hapt_rejects_matrix_without_rows(tmp_path, synthetic_hapt_dir,

@@ -89,6 +89,15 @@ def test_not_a_model_file(tmp_path):
     path2.write_text("not json at all")
     with pytest.raises(ModelFormatError, match="not valid JSON"):
         load_model(path2)
+    # json.loads raised a plain ValueError, and UTF-8 decoding one too
+    path3 = tmp_path / "junk3.json"
+    path3.write_text('{"seed": ' + "1" * 5000 + "}")
+    with pytest.raises(ModelFormatError, match="not valid JSON.*4300 digits"):
+        load_model(path3)
+    path4 = tmp_path / "junk4.json"
+    path4.write_bytes(b'{"kind": "\xff"}')
+    with pytest.raises(ModelFormatError, match="not valid JSON.*utf-8"):
+        load_model(path4)
     with pytest.raises(FileNotFoundError):
         load_model(tmp_path / "absent.json")
 
@@ -184,10 +193,20 @@ def test_non_finite_alpha_rejected(tmp_path, alpha):
          "num_classes is '4', not a JSON integer"),
         (lambda doc: doc.update(class_ids=[1, 2, "3", 4]),
          "a class id is '3', not a JSON integer"),
+        # each of these loaded, or failed with exit 4
+        (lambda doc: doc["feature_names"].__setitem__(1, 7),
+         "a feature name is 7, not a JSON string"),
+        (lambda doc: doc["class_ids"].__setitem__(3, 10 ** 30),
+         "class_ids beyond int64"),
+        (lambda doc: doc["metadata"].update(dataset_digest=5),
+         "metadata: dataset_digest is 5, not a JSON string"),
+        (lambda doc: doc["rounds"][0].update(alpha=10 ** 400),
+         "round 1: OverflowError: int too large to convert to float"),
     ],
     ids=["rounds-int", "round-int", "model-list", "alpha-str", "alpha-null",
          "epsilon-list", "k-float", "k-str", "depth-bool", "family",
-         "num-classes-str", "class-id-str"],
+         "num-classes-str", "class-id-str", "feature-name-int",
+         "class-id-beyond-int64", "digest-int", "alpha-beyond-doubles"],
 )
 def test_wrong_value_types_rejected(tmp_path, edit, message):
     path = _naive_bayes_file(tmp_path)
@@ -376,6 +395,17 @@ def test_constant_label_must_be_a_class(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="label 5 is not among"):
         load_model(path)
+
+
+def test_seeds_beyond_int64_load(tmp_path):
+    # seeds are taken modulo 2**64, and train writes the seed it was given
+    ds = make_activity_dataset(40, 3, 2, seed=36)
+    spec = LearnerSpec(Family.RANDOM_TREE, max_depth=2 ** 70, seed=2 ** 64 + 3)
+    path = tmp_path / "m.json"
+    save_model(path, boost_fit(spec, ds, rounds=2, seed=-(2 ** 65)),
+               ds.feature_names, dataset_digest(ds), ds.n_rows)
+    loaded = load_model(path).ensemble
+    assert (loaded.base_spec, loaded.seed) == (spec, -(2 ** 65))
 
 
 def test_save_is_byte_deterministic(tmp_path):

@@ -306,3 +306,33 @@ def test_ctrl_c_before_a_worker_is_set_up_prints_no_traceback():
             proc.wait()
     assert proc.returncode == 130, stderr
     assert "Traceback" not in stderr, stderr
+
+
+INTERRUPTED_IN_A_WORKER = textwrap.dedent("""
+    import os, signal, sys
+    from harboost.evaluation import cross_validate
+    from harboost.synthetic import make_activity_dataset
+
+    class SelfInterrupting:
+        def fit_weighted(self, ds, w, seed=0):
+            # a Ctrl-C that reaches the workers before the parent
+            os.kill(os.getpid(), signal.SIGINT)
+
+    ds = make_activity_dataset(80, 4, 3, seed=77, spread=0.15)
+    try:
+        cross_validate(SelfInterrupting(), ds, folds=4, rounds=1, threads=2)
+    except KeyboardInterrupt:
+        sys.exit(130)
+""")
+
+
+@needs_fork
+def test_ctrl_c_that_ends_a_worker_first_prints_no_traceback():
+    # the pool reported BrokenProcessPool, and the run exited 1
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", INTERRUPTED_IN_A_WORKER], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 130, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
