@@ -7,12 +7,14 @@ and Postural Transitions", UCI ML repository) ships precomputed features:
                             by a 1-based index ("<index> <name>")
     activity_labels.txt     lines "<id> <NAME>", ids 1..12
     Train/X_train.txt       N rows of 561 space-separated decimals
-                            (runs of spaces and scientific notation allowed)
     Train/y_train.txt       N lines, one integer label 1..12
 
 Only the Train partition is consumed. All feature values are normalized
 to [-1, 1] by the distribution; out-of-range or non-finite cells are
-treated as hard errors, never repaired.
+treated as hard errors, never repaired. Every number in these files and
+in a CSV is parsed by one np.loadtxt call (_table): ASCII decimals with
+no `_` separators, and integers within int64. Files must be UTF-8;
+blank and whitespace-only lines are skipped.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -191,31 +195,59 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _lines(path: Path):
-    """(1-based line number, stripped text) of each non-blank line."""
-    with open(path, "rb") as fh:
+def _lines(path: Path, skip: int = 0):
+    """(line number, stripped text) of the non-blank lines after skip."""
+    with open(path, "rb", buffering=1 << 18) as fh:  # rows outgrow 8 KiB
         for ln, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError:
                 raise DataError(f"{path}: line {ln} is not UTF-8 text") from None
-            if line:
+            if line and ln > skip:
                 yield ln, line
 
 
-def _floats(path, ln: int, cells) -> list[float]:
-    """The cells of file line ln as floats; DataError names the first
-    cell that does not parse."""
+def _table(path: Path, dtype, sep=None, skip: int = 0, form=None):
+    """The lines of path after skip, parsed by one np.loadtxt call: a
+    matrix for a plain dtype, a record per line for a structured one. If
+    it fails, the first line and cell that loadtxt rejects alone is named
+    (with the line form `form` expected, if given)."""
+    dtype = np.dtype(dtype)
+    rows = _lines(path, skip)
+    first = next(rows, None)
+    if first is None:
+        raise DataError(f"{path}: no data rows")
+
+    def parse(lines, dt=dtype, **kw):
+        return np.loadtxt(lines, dtype=dt, delimiter=sep, comments=None,
+                          ndmin=1 if dt.names else 2, **kw)
+
+    def fault(ln, why):
+        return DataError(f"{path}: line {ln}" + (f": expected {form}" if form
+                                                 else why))
+
     try:
-        return [float(c) for c in cells]
-    except ValueError:
-        for col, c in enumerate(cells, start=1):
-            try:
-                float(c)
-            except ValueError:
-                raise DataError(f"{path}: line {ln}, column {col}: "
-                                f"cannot parse {c!r} as a number") from None
-        raise
+        return parse(line for _, line in itertools.chain([first], rows))
+    except ValueError as e:
+        error = e
+    columns = [dtype[n].base for n in dtype.names or ()
+               for _ in range(math.prod(dtype[n].shape))]
+    for ln, line in _lines(path, skip):
+        cells = line.split(sep)
+        columns = columns or [dtype] * len(cells)  # a matrix: line 1's width
+        if len(cells) != len(columns):
+            raise fault(ln, f" has {len(cells)} values, expected {len(columns)}")
+        try:
+            parse([line])
+        except ValueError:
+            for col, dt in enumerate(columns):
+                try:
+                    parse([line], dt, usecols=[col])
+                except ValueError:
+                    what = "an integer" if dt.kind == "i" else "a number"
+                    raise fault(ln, f", column {col + 1}: cannot parse "
+                                    f"{cells[col]!r} as {what}") from None
+    raise DataError(f"{path}: {error}") from None
 
 
 def _parse_feature_names(path: Path) -> list[str]:
@@ -233,13 +265,9 @@ def _parse_feature_names(path: Path) -> list[str]:
 
 def _parse_activity_names(path: Path) -> None:
     """Validate that the on-disk id->name table matches ActivityLabel."""
-    seen = {}
-    for ln, line in _lines(path):
-        parts = line.split(None, 1)
-        try:
-            seen[int(parts[0])] = parts[1].strip()
-        except (IndexError, ValueError):  # one word, or no integer id
-            raise DataError(f"{path}: line {ln}: expected '<id> <NAME>'") from None
+    table = _table(path, [("id", np.int64), ("name", object)],
+                   form="'<id> <NAME>'")
+    seen = dict(zip(table["id"].tolist(), table["name"].tolist()))
     expected = {int(l): l.name for l in ActivityLabel}
     if seen != expected:
         raise DataError(
@@ -248,39 +276,13 @@ def _parse_activity_names(path: Path) -> None:
         )
 
 
-def _parse_matrix(path: Path) -> np.ndarray:
-    # loadtxt is the parse; the line walk only names what it rejected
-    if next(_lines(path), None) is None:
-        raise DataError(f"{path}: no data rows")
-    try:
-        X = np.loadtxt(path, dtype=np.float64, ndmin=2, comments=None)
-    except ValueError as e:
-        width = None
-        for ln, line in _lines(path):
-            cells = line.split()
-            width = width or len(cells)
-            if len(cells) != width:
-                raise DataError(f"{path}: line {ln} has {len(cells)} values, "
-                                f"expected {width}") from None
-            _floats(path, ln, cells)
-        raise DataError(f"{path}: {e}") from None
-    require_finite(X, f"{path}: ")
-    return X
-
-
 def _parse_labels(path: Path) -> np.ndarray:
-    values = []
-    for ln, line in _lines(path):
-        try:
-            v = int(line)
-        except ValueError:
-            raise DataError(
-                f"{path}: line {ln}: cannot parse {line!r} as an integer label"
-            ) from None
-        if not 1 <= v <= 12:
-            raise DataError(f"{path}: line {ln}: label {v} outside 1..12")
-        values.append(v)
-    return np.array(values, dtype=np.int64)
+    y = _table(path, [("label", np.int64)])["label"]
+    bad = np.flatnonzero((y < 1) | (y > 12))
+    if bad.size:
+        ln, _ = next(itertools.islice(_lines(path), bad[0], None))
+        raise DataError(f"{path}: line {ln}: label {y[bad[0]]} outside 1..12")
+    return y
 
 
 def load_hapt(data_dir) -> Dataset:
@@ -298,7 +300,8 @@ def load_hapt(data_dir) -> Dataset:
 
     names = _parse_feature_names(features_file)
     _parse_activity_names(activities_file)
-    X = _parse_matrix(x_file)
+    X = _table(x_file, np.float64)
+    require_finite(X, f"{x_file}: ")
     y = _parse_labels(y_file)
 
     if X.shape[1] != len(names):
@@ -408,40 +411,21 @@ def _read_csv(path, require_labels: bool):
     """(feature matrix, activity ids or None, feature names) of a CSV
     with or without save_csv's trailing activity_id,activity_name
     columns, which require_labels makes mandatory."""
-    path = Path(path)
-    _require(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        cols = fh.readline().rstrip("\n").split(",")
-        has_labels = len(cols) >= 3 and cols[-2:] == ["activity_id",
-                                                      "activity_name"]
-        if require_labels and not has_labels:
-            raise DataError(
-                f"{path}: header must end with 'activity_id,activity_name'"
-            )
-        d = len(cols) - 2 if has_labels else len(cols)
-        feats, labels = [], []
-        for ln, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(cols):
-                raise DataError(
-                    f"{path}: line {ln} has {len(cells)} cells, expected {len(cols)}"
-                )
-            feats.append(_floats(path, ln, cells[:d]))
-            if has_labels:
-                try:
-                    labels.append(int(cells[d]))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {ln}: bad activity_id {cells[d]!r}"
-                    ) from None
-    if not feats:
-        raise DataError(f"{path}: no data rows")
-    feats = np.array(feats, dtype=np.float64)
+    path = _require(Path(path))
+    ln, header = next(_lines(path), (0, ""))
+    cols = header.split(",")
+    has_labels = len(cols) >= 3 and cols[-2:] == ["activity_id",
+                                                  "activity_name"]
+    if require_labels and not has_labels:
+        raise DataError(
+            f"{path}: header must end with 'activity_id,activity_name'"
+        )
+    d = len(cols) - 2 if has_labels else len(cols)
+    id_fields = [("id", np.int64), ("name", "U0")] if has_labels else []
+    table = _table(path, [("x", np.float64, (d,)), *id_fields], ",", skip=ln)
+    feats = np.ascontiguousarray(table["x"])
     require_finite(feats, f"{path}: ")
-    return feats, np.array(labels) if has_labels else None, tuple(cols[:d])
+    return feats, table["id"].copy() if has_labels else None, tuple(cols[:d])
 
 
 def load_csv(path) -> Dataset:

@@ -204,6 +204,9 @@ def load_model(path) -> LoadedModel:
                 f"{spec.family.value!r} fits {expected!r} models"
             )
         rounds.append(BoostRound(model, alpha, epsilon))
+    if class_ids[0] < 1 or class_ids[-1] > 12:  # last: keeps older messages
+        raise ModelFormatError(f"{path}: class_ids {class_ids.tolist()} "
+                               f"are not activity ids 1..12")
     ensemble = BoostedEnsemble(
         rounds=tuple(rounds),
         num_classes=num_classes,

@@ -405,3 +405,81 @@ def test_hapt_train_partition_shape(hapt_dataset):
 def test_hapt_standing_count(hapt_dataset):
     counts = hapt_dataset.class_counts()
     assert counts[ActivityLabel.STANDING] == 1423
+
+
+# ---------------------------------------------------------------------------
+# One cell grammar for every text file
+# ---------------------------------------------------------------------------
+
+NOT_UTF8 = "\udce9"  # written with surrogateescape: the lone byte 0xE9
+NOT_A_NUMBER = ["1_0", "0_1", "\u0661\u0662", NOT_UTF8]  # Arabic-Indic 12
+NOT_AN_ID = [*NOT_A_NUMBER, "5.0", "1" + "0" * 30]
+#: field -> (file, file line, cell index, command that reads it)
+FIELDS = {
+    "X_train": ("Train/X_train.txt", 3, 4, "ingest"),
+    "y_train": ("Train/y_train.txt", 3, 0, "ingest"),
+    "labeled-csv": ("data.csv", 3, 4, "evaluate"),
+    "activity_id": ("data.csv", 3, 15, "evaluate"),
+    "feature-csv": ("features.csv", 3, 4, "predict"),
+    "csv-header": ("data.csv", 1, 0, "summarize"),
+}
+
+
+@pytest.fixture(scope="module")
+def text_inputs(tmp_path_factory, synthetic_hapt_dir):
+    """A HAPT layout holding data.csv (labeled), features.csv (its
+    feature columns) and model.json (trained on it)."""
+    import shutil
+
+    from harboost.boosting import boost_fit
+    from harboost.dataset import load_body_acc
+    from harboost.learners import Family, LearnerSpec
+    from harboost.modelfile import save_model
+
+    root = tmp_path_factory.mktemp("text_inputs") / "hapt"
+    shutil.copytree(synthetic_hapt_dir, root)
+    ds = load_body_acc(root)
+    save_csv(ds, root / "data.csv")
+    lines = (root / "data.csv").read_text().splitlines()
+    (root / "features.csv").write_text(
+        "".join(line.rsplit(",", 2)[0] + "\n" for line in lines))
+    ens = boost_fit(LearnerSpec(Family.NAIVE_BAYES), ds, rounds=1, seed=0)
+    save_model(root / "model.json", ens, ds.feature_names,
+               dataset_digest(ds), ds.n_rows)
+    return root
+
+
+@pytest.mark.parametrize("field,value", [
+    *[(f, v) for f in ("X_train", "labeled-csv", "feature-csv")
+      for v in NOT_A_NUMBER],
+    *[(f, v) for f in ("y_train", "activity_id") for v in NOT_AN_ID],
+    ("csv-header", NOT_UTF8),
+])
+def test_malformed_number_exits_3_naming_its_line(tmp_path, capsys,
+                                                  text_inputs, field, value):
+    # float()/int() read 1_0, 0_1 and Arabic-Indic digits that loadtxt
+    # rejects; a big id or a non-UTF-8 CSV byte exited 4
+    import re
+    import shutil
+
+    from harboost import cli
+
+    name, ln, col, command = FIELDS[field]
+    root = tmp_path / "in"
+    shutil.copytree(text_inputs, root)
+    path = root / name
+    lines = path.read_text().splitlines()
+    sep = "," if name.endswith(".csv") else None
+    cells = lines[ln - 1].split(sep)
+    cells[col] = value
+    lines[ln - 1] = (sep or " ").join(cells)
+    path.write_text("\n".join(lines) + "\n", errors="surrogateescape")
+    source = (["--data-dir", str(root)] if command == "ingest"
+              else ["--from-csv", str(path)])
+    argv = {"ingest": ["--out", str(tmp_path / "out.csv")],
+            "evaluate": ["--learner", "naive-bayes", "--folds", "2",
+                         "--rounds", "1"],
+            "predict": ["--model", str(root / "model.json")],
+            "summarize": []}[command]
+    assert cli.main([command, *source, *argv]) == 3
+    assert re.search(rf"{path.name}: line {ln}\b", capsys.readouterr().err)

@@ -37,8 +37,10 @@ _DROP = object()
 _HUGE = "<5000-digit integer>"
 JSON_VALUES = [_DROP, None, "x", True, -1, 0, 1.5, math.nan, math.inf,
                -math.inf, [], {}, 10 ** 30, _HUGE]
+# "\udce9" is written with surrogateescape: the lone byte 0xE9, not UTF-8
 TEXT_VALUES = [_DROP, "", "null", "x", "true", "-1", "0", "1.5", "nan",
-               "inf", "-inf", "[]", "{}", "1" + "0" * 30, "7" * 5000]
+               "inf", "-inf", "[]", "{}", "1" + "0" * 30, "7" * 5000,
+               "\udce9"]
 
 
 @pytest.fixture(scope="module")
@@ -82,12 +84,14 @@ def _mutated_json(draw, doc):
     return json.dumps(doc).replace(json.dumps(_HUGE), "7" * 5000)
 
 
-def _mutated_lines(draw, text, sep):
-    """text after one cell is dropped or replaced, or one line dropped."""
+def _mutated_lines(draw, text, sep, column=None):
+    """text after one cell (the column-th, if given) is dropped or
+    replaced, or one line dropped."""
     lines = text.splitlines()
     i = draw(st.integers(0, len(lines) - 1))
     cells = lines[i].split(sep)
-    j = draw(st.integers(0, len(cells) - 1))
+    j = (draw(st.integers(0, len(cells) - 1)) if column is None
+         else column % len(cells))
     value = draw(st.sampled_from(TEXT_VALUES))
     if value is _DROP:
         del cells[j]
@@ -119,13 +123,15 @@ def test_mutated_model_file_never_exits_4(inputs, data):
         assert len(out.read_text().splitlines()) == 1 + n_rows
 
 
-@fuzz(40)
+@fuzz(60)
 @given(data=st.data())
 def test_mutated_feature_csv_never_exits_4(inputs, data):
     root, csv, _, _ = inputs
-    text = _mutated_lines(data.draw, csv.read_text(), ",")
+    # half the examples hit activity_id, one column of the CSV's 17
+    column = data.draw(st.sampled_from([None, -2]))
+    text = _mutated_lines(data.draw, csv.read_text(), ",", column)
     mutated = root / "mutated.csv"
-    mutated.write_text(text)
+    mutated.write_text(text, errors="surrogateescape")
     out = root / "pred.csv"
     if _run(["predict", "--model", str(root / "knn.json"),
              "--from-csv", str(mutated)], out) == 0:
@@ -144,7 +150,8 @@ def test_mutated_hapt_layout_never_exits_4(hapt, data):
                                       "Train/y_train.txt"]))
     path = hapt / name
     original = path.read_text()
-    path.write_text(_mutated_lines(data.draw, original, " "))
+    path.write_text(_mutated_lines(data.draw, original, " "),
+                    errors="surrogateescape")
     try:
         _run(["ingest", "--data-dir", str(hapt)], hapt.parent / "out.csv")
     finally:

@@ -90,3 +90,19 @@ def test_exports_are_public_names_and_resolve():
     for name in harboost.__all__:
         assert not name.startswith("_")
         assert not isinstance(getattr(harboost, name), types.ModuleType)
+
+
+def test_one_parser_reads_every_number_from_text():
+    # dataset._table's loadtxt is the only number parser for input files;
+    # float()/int() read 1_0 and non-ASCII digits that loadtxt rejects
+    callers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "loadtxt"
+                   for node in ast.walk(top)):
+                callers.add(f"{path.name}: {getattr(top, 'name', top.lineno)}")
+    assert callers == {"dataset.py: _table"}
+    dataset = ast.parse((PACKAGE / "dataset.py").read_text())
+    assert "_floats" not in {getattr(node, "name", getattr(node, "id", None))
+                             for node in ast.walk(dataset)}

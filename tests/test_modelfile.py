@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,33 @@ def test_class_ids_must_increase(tmp_path, class_ids):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="not strictly increasing"):
         load_model(path)
+
+
+@pytest.mark.parametrize("old,new,in_rounds,message", [
+    (4, 13, True, "class_ids [1, 2, 3, 13] are not activity ids 1..12"),
+    (1, 0, True, "class_ids [0, 2, 3, 4] are not activity ids 1..12"),
+    (1, 0, False, "round 1: model class_ids [1, 2, 3, 4] are not among"),
+])
+def test_class_ids_must_be_activity_ids(tmp_path, capsys, old, new,
+                                        in_rounds, message):
+    # relabelled in every round too, 13 loaded, then predict exited 4;
+    # relabelled in class_ids alone, the round check still speaks first
+    from harboost import cli
+
+    path = _naive_bayes_file(tmp_path)
+    doc = json.loads(path.read_text())
+    for owner in [doc] + [r["model"] for r in doc["rounds"] if in_rounds]:
+        owner["class_ids"] = [new if i == old else i
+                              for i in owner["class_ids"]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load_model(path)
+    csv = tmp_path / "x.csv"
+    csv.write_text(",".join(doc["feature_names"]) + "\n"
+                   + ",".join(["0.1"] * len(doc["feature_names"])) + "\n")
+    assert cli.main(["predict", "--model", str(path),
+                     "--from-csv", str(csv)]) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
