@@ -125,8 +125,9 @@ class Dataset:
         if labs.shape != (feats.shape[0],):
             raise DataError(
                 f"row/label count mismatch: {feats.shape[0]} feature rows "
-                f"vs {labs.shape[0]} labels"
+                f"vs labels of shape {labs.shape}"
             )
+        labs = np.ascontiguousarray(labs)  # a strided view slows every fit
         if len(names) != feats.shape[1]:
             raise DataError(
                 f"{len(names)} feature names for {feats.shape[1]} columns"
@@ -251,10 +252,17 @@ def _table(path: Path, dtype, sep=None, skip: int = 0, form=None):
 
 
 def _parse_feature_names(path: Path) -> list[str]:
+    """One name a line. A line that leads with digits leads with its
+    name's 1-based position in ASCII (`1 tBodyAcc-Mean-1`), which is
+    dropped."""
     names = []
-    for _, line in _lines(path):
+    for ln, line in _lines(path):
         parts = line.split(None, 1)
         if len(parts) == 2 and parts[0].isdigit():
+            position = str(len(names) + 1)
+            if not (parts[0].isascii() and parts[0].lstrip("0") == position):
+                raise DataError(f"{path}: line {ln}: index {parts[0]!r} is "
+                                f"not the name's position {position}")
             names.append(parts[1].strip())
         else:
             names.append(line)
@@ -425,7 +433,7 @@ def _read_csv(path, require_labels: bool):
     table = _table(path, [("x", np.float64, (d,)), *id_fields], ",", skip=ln)
     feats = np.ascontiguousarray(table["x"])
     require_finite(feats, f"{path}: ")
-    return feats, table["id"].copy() if has_labels else None, tuple(cols[:d])
+    return feats, table["id"] if has_labels else None, tuple(cols[:d])
 
 
 def load_csv(path) -> Dataset:

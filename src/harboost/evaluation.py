@@ -27,7 +27,7 @@ from .dataset import (
     FoldAssignment,
     stratified_folds,
 )
-from .learners import FAMILIES, LearnerSpec
+from .learners import FAMILIES, LearnerSpec, fold_scope
 from .rng import derive_seed
 
 #: Learners that appear in comparison reports as placeholders only.
@@ -177,14 +177,20 @@ class _CVJob:
         depend on the grouping.
         """
         spec = self.specs[spec_index]
-        train = [self.ds.subset(self.assignment.train_rows(f)) for f in folds]
+        train_rows = [self.assignment.train_rows(f) for f in folds]
+        test_rows = [self.assignment.test_rows(f) for f in folds]
+        train = [self.ds.subset(rows) for rows in train_rows]
+        tests = [self.ds.features[rows] for rows in test_rows]
         seeds = [derive_seed(self.seed, f) for f in folds]
-        ensembles = boost_fit_folds(spec, train, self.rounds, seeds)
+        parts = [(ds.features, rows) for ds, rows in zip(train, train_rows)]
+        parts += zip(tests, test_rows)
+        with fold_scope(spec, self.ds.features, self.assignment.k, parts):
+            ensembles = boost_fit_folds(spec, train, self.rounds, seeds)
+            preds = [boost_predict_batch(ens, X)
+                     for ens, X in zip(ensembles, tests)]
         results = []
-        for f, ens in zip(folds, ensembles):
-            test_rows = self.assignment.test_rows(f)
-            pred = boost_predict_batch(ens, self.ds.features[test_rows])
-            true = self.ds.labels[test_rows]
+        for pred, rows in zip(preds, test_rows):
+            true = self.ds.labels[rows]
             results.append((float((pred == true).mean()),
                             confusion_from_predictions(true, pred, self.labels)))
         return results

@@ -14,11 +14,13 @@ draw everything from spec.seed. Weights are normalized to sum 1 before
 use, so uniformly rescaling them cannot change the fitted model; k-NN
 keeps the weights it was handed because they are part of its vote.
 fit_group fits one spec to several datasets at once (the folds of a
-cross-validation), each model the one its dataset alone gives.
+cross-validation), each model the one its dataset alone gives, and
+fold_scope lets a family share work between the folds while they run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from collections.abc import Callable
@@ -125,13 +127,15 @@ class LearnerSpec:
 class FamilyRow:
     """A learner family's entry in FAMILIES. fit(spec, datasets, weights,
     seeds) returns one model per dataset; the weights it gets are checked
-    and, unless raw_weights, normalized to sum 1."""
+    and, unless raw_weights, normalized to sum 1. fold_scope, if set, is
+    the family's context manager for fold_scope below."""
 
     display_name: str  # its name in reports
     payload: str       # the family its models' payloads carry and load by
     loader: Callable   # payload dict -> model
     fit: Callable
     raw_weights: bool = False
+    fold_scope: Callable | None = None
 
 
 def _alone(fit) -> Callable:
@@ -146,7 +150,9 @@ def _alone(fit) -> Callable:
 FAMILIES = {
     Family.KNN: FamilyRow(
         "k-NN", "knn", knn.KnnModel.from_payload,
-        _alone(lambda s, ds, w: knn.fit_knn(ds, w, s.k)), raw_weights=True),
+        _alone(lambda s, ds, w: knn.fit_knn(ds, w, s.k)), raw_weights=True,
+        fold_scope=lambda s, features, folds, parts: knn.fold_scope(
+            features, folds, parts, s.k)),
     Family.DECISION_STUMP: FamilyRow(
         "Decision Stump", "stump", trees.model_from_payload,
         lambda s, dss, ws, seeds: trees.fit_trees(
@@ -247,6 +253,20 @@ def fit_group(spec, datasets, weights, seeds) -> list:
     return row.fit(spec, datasets, checked, seeds)
 
 
+def fold_scope(spec, features, folds: int, parts):
+    """A context manager that the folds of a `folds`-fold
+    cross-validation of spec on features fit and predict within. parts
+    pairs each array they fit or predict on (a fold's training features
+    or test matrix) with its rows of features, ascending. A family may
+    share work between the folds inside it; nothing it keeps outlives
+    the block, and every model and prediction is the one a lone fit of
+    each fold gives."""
+    row = FAMILIES[spec.family] if isinstance(spec, LearnerSpec) else None
+    if row is None or row.fold_scope is None:
+        return contextlib.nullcontext()
+    return row.fold_scope(spec, features, folds, parts)
+
+
 def predict(model, x) -> ActivityLabel:
     """Predict a single feature vector."""
     x = np.asarray(x, dtype=np.float64)
@@ -272,6 +292,7 @@ __all__ = [
     "LearnerSpec",
     "fit",
     "fit_group",
+    "fold_scope",
     "model_from_payload",
     "predict",
     "spec_from_payload",

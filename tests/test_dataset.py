@@ -43,6 +43,19 @@ def test_dataset_rejects_count_mismatch():
         Dataset(np.zeros((3, 2)), np.array([1, 2]), ("a", "b"))
 
 
+def test_dataset_stores_contiguous_labels():
+    # a record array's field is a strided view; kept as given, it slowed
+    # every fit on the dataset
+    rec = np.zeros(4, dtype=[("x", np.float64, (2,)), ("id", np.int64)])
+    rec["id"] = [1, 2, 1, 2]
+    ds = Dataset(rec["x"], rec["id"], ("a", "b"))
+    assert ds.labels.flags.c_contiguous
+    assert ds.labels.tolist() == [1, 2, 1, 2]
+    # a scalar label is checked before it could become shape (1,)
+    with pytest.raises(DataError, match="row/label count mismatch"):
+        Dataset(np.zeros((1, 2)), 5, ("a", "b"))
+
+
 def test_dataset_rejects_nonfinite_and_bad_labels():
     with pytest.raises(DataError, match="non-finite"):
         Dataset(np.array([[0.0], [np.nan]]), np.array([1, 2]), ("a",))
@@ -153,6 +166,27 @@ def test_unreadable_activity_id_reports_its_line(tmp_path, synthetic_hapt_dir,
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=r"activity_labels.txt: line 1: "
                                         r"expected '<id> <NAME>'"):
+        load_hapt(root)
+    assert cli.main(["ingest", "--data-dir", str(root),
+                     "--out", str(tmp_path / "out.csv")]) == 3
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first_index", ["\u0661", "5"])
+def test_feature_index_must_be_its_position(tmp_path, synthetic_hapt_dir,
+                                            capsys, first_index):
+    # str.isdigit passed both, and the token was dropped unchecked
+    import shutil
+
+    from harboost import cli
+
+    root = tmp_path / "broken"
+    shutil.copytree(synthetic_hapt_dir, root)
+    path = root / "features.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = f"{first_index} a"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"features.txt: line 1: index "):
         load_hapt(root)
     assert cli.main(["ingest", "--data-dir", str(root),
                      "--out", str(tmp_path / "out.csv")]) == 3

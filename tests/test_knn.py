@@ -1,15 +1,20 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from harboost import cli
 from harboost.boosting import boost_fit, boost_predict_batch
-from harboost.dataset import Dataset
+from harboost.dataset import Dataset, FoldAssignment, save_csv, stratified_folds
 from harboost.evaluation import cross_validate
-from harboost.learners import Family, LearnerSpec, fit, knn, predict
-from harboost.learners.knn import neighbor_table, vote_scores
+from harboost.learners import Family, LearnerSpec, fit, fold_scope, knn, predict
+from harboost.learners.knn import neighbor_table, table_for, vote_scores
 from harboost.synthetic import make_activity_dataset
 
 
@@ -116,25 +121,46 @@ def _boundary_ties(rows, queries, k):
     return int(((d2 <= kth[:, None]).sum(axis=1) > k).sum())
 
 
+def _nearest_first(rows, queries, table):
+    """Each row of table in (squared distance, index) order, with the
+    oracle's distances: its expression, a 1024-query block at a time."""
+    row_sq = np.einsum("ij,ij->i", rows, rows)
+    out = []
+    for start in range(0, len(queries), 1024):
+        q = queries[start:start + 1024]
+        d2 = np.maximum(np.einsum("ij,ij->i", q, q)[:, None]
+                        - 2.0 * (q @ rows.T) + row_sq, 0.0)
+        out += [sorted(row, key=lambda j: (d2[i, j], j))
+                for i, row in enumerate(table[start:start + 1024].tolist())]
+    return np.array(out, dtype=np.int64).reshape(table.shape)
+
+
+def _check_against_oracle(rows, queries, k):
+    # the oracle pins each row's set; the order within a row, which the
+    # vote adds weights in, is nearest first (index order at k == n)
+    want = oracles.knn_neighbor_table(rows, queries, k)
+    got = neighbor_table(rows, queries, k)
+    assert got.dtype == want.dtype
+    assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1)), k
+    if k < len(rows):
+        want = _nearest_first(rows, queries, want)
+    assert np.array_equal(got, want), k
+
+
 @pytest.mark.parametrize("n", [13, 1800, 2049])
 @pytest.mark.parametrize("nq", [1, 2, 1023, 1024, 1025, 2049])
 def test_neighbor_table_equals_blocked_oracle(n, nq):
-    # element for element, within-row order included: the vote adds
-    # weights in table order (1025 queries leave a 1-row product tail)
+    # 1025 queries leave a 1-row product tail
     rows, queries = _tie_data(n, seed=n), _tie_data(nq, seed=n + nq)
     for k in (1, 12, n):
-        want = oracles.knn_neighbor_table(rows, queries, k)
-        got = neighbor_table(rows, queries, k)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want), (n, nq, k)
+        _check_against_oracle(rows, queries, k)
 
 
 @pytest.mark.parametrize("n", [13, 1800])
 def test_neighbor_table_on_stored_rows_equals_oracle(n):
     rows = _tie_data(n, seed=7 * n)
     for k in (1, 12):
-        assert np.array_equal(neighbor_table(rows, rows, k),
-                              oracles.knn_neighbor_table(rows, rows, k))
+        _check_against_oracle(rows, rows, k)
 
 
 def test_oracle_pin_data_has_boundary_ties():
@@ -192,13 +218,16 @@ def _counting_neighbor_table(monkeypatch):
 
 
 @pytest.mark.parametrize("folds", [2, 4])
-def test_boosted_cv_builds_two_tables_per_fold(monkeypatch, folds):
-    # one table of a fold's training rows serves every round's training
-    # error, one table of its test rows every round's vote
+def test_boosted_cv_builds_one_ranking_per_task(monkeypatch, folds):
+    # one ranking of all rows serves every fold's training error and
+    # vote in every round
     ds = make_activity_dataset(120, 4, 3, seed=21, spread=0.5)
     calls = _counting_neighbor_table(monkeypatch)
     cross_validate(spec(5), ds, folds=folds, rounds=4, seed=2)
-    assert len(calls) == 2 * folds
+    assert len(calls) == 1
+    rows, queries, depth, _ = calls[0]
+    assert rows is ds.features and queries is ds.features
+    assert depth == 2 * (5 + -(-5 // (folds - 1))) + 16
 
 
 def test_rounds_not_sharing_rows_vote_through_their_own_predictions(
@@ -228,3 +257,106 @@ def test_rounds_not_sharing_rows_vote_through_their_own_predictions(
     np.testing.assert_array_equal(got, ens.class_ids[votes.argmax(axis=1)])
     # round 1's table, then one per k-NN round holding its own rows
     assert len(calls) == len(rounds) - 1
+
+
+def _fold_tables(features, assignment, k):
+    """(training features, test matrix, training table, test table) of
+    every fold, the tables read inside the k-NN fold scope."""
+    folds = range(assignment.k)
+    train = [(features[assignment.train_rows(f)], assignment.train_rows(f))
+             for f in folds]
+    test = [(features[assignment.test_rows(f)], assignment.test_rows(f))
+            for f in folds]
+    with fold_scope(spec(k), features, assignment.k, train + test):
+        return [(tr, te, table_for(tr, tr, k), table_for(tr, te, k))
+                for (tr, _), (te, _) in zip(train, test)]
+
+
+def _assert_direct(tables, k):
+    for tr, te, train_table, test_table in tables:
+        assert np.array_equal(train_table, neighbor_table(tr, tr, k))
+        assert np.array_equal(test_table, neighbor_table(tr, te, k))
+
+
+@pytest.mark.parametrize("ties", [True, False], ids=["ties", "no-ties"])
+@pytest.mark.parametrize("folds", [2, 3, 10])
+def test_fold_tables_equal_direct_tables(monkeypatch, folds, ties):
+    # the ranking's products have 203 columns, a fold's training table's
+    # fewer, and a BLAS may sum some columns in another order for another
+    # shape (OpenBLAS's Haswell kernel does so for the last columns mod
+    # 8): tied distances then differ in their last bits, so the tables of
+    # tied rows must come from neighbor_table itself
+    features = _tie_data(203, seed=folds) if ties else \
+        np.random.default_rng(folds).normal(size=(203, 4))
+    ds = Dataset(features, np.arange(203) % 3 + 1, ("a", "b", "c", "d"))
+    assignment = stratified_folds(ds, folds, seed=1)
+    n_train = min(assignment.train_rows(f).size for f in range(folds))
+    for k in (1, 12, n_train - 1, n_train):
+        calls = _counting_neighbor_table(monkeypatch)
+        tables = _fold_tables(ds.features, assignment, k)
+        if not ties and k <= 12:  # read from the ranking alone
+            assert [args[0] for args in calls] == [ds.features]
+        monkeypatch.undo()
+        _assert_direct(tables, k)
+
+
+def test_fold_tables_of_queries_short_of_neighbors(monkeypatch):
+    # fold 0 is a far cluster of 40 rows: each of its queries ranks only
+    # fold-0 rows first, so fold 0's test table is neighbor_table's own
+    rng = np.random.default_rng(4)
+    features = rng.normal(size=(100, 4))
+    features[:40] += 100.0
+    fold_of_row = np.concatenate([np.zeros(40), np.arange(60) % 9 + 1])
+    assignment = FoldAssignment(fold_of_row, 10, 0)
+    calls = _counting_neighbor_table(monkeypatch)
+    tables = _fold_tables(features, assignment, 12)
+    monkeypatch.undo()
+    shapes = [(len(args[0]), len(args[1]), args[2]) for args in calls]
+    assert shapes == [(100, 100, 44), (60, 40, 12)]  # 2 (12 + 2) + 16
+    _assert_direct(tables, 12)
+
+
+SUBPROCESS_MAIN = "import sys; from harboost.cli import main; " \
+                  "sys.exit(main(sys.argv[1:]))"
+
+
+def test_fold_scope_leaves_nothing_behind(monkeypatch, capsys, tmp_path):
+    # after a k-NN CV, and one that raises inside the scope, a train and
+    # predict on other data of the same shape give a fresh process's bytes
+    ds = make_activity_dataset(120, 4, 3, seed=21, spread=0.5)
+    cross_validate(spec(5), ds, folds=4, rounds=3, seed=2)
+    real, calls = knn.vote_scores, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("mid-run")
+        return real(*args)
+
+    monkeypatch.setattr(knn, "vote_scores", failing)
+    with pytest.raises(RuntimeError, match="mid-run"):
+        cross_validate(spec(5), ds, folds=4, rounds=3, seed=2)
+    monkeypatch.undo()
+    assert knn._ranking.get() is None
+
+    csv = tmp_path / "other.csv"
+    save_csv(make_activity_dataset(120, 4, 3, seed=22, spread=0.5), csv)
+
+    def train_predict(run, name):
+        model = tmp_path / f"{name}.json"
+        run(["train", "--from-csv", str(csv), "--learner", "knn", "--k", "5",
+             "--rounds", "3", "--model-out", str(model)])
+        out = run(["predict", "--model", str(model), "--from-csv", str(csv)])
+        return model.read_bytes(), out
+
+    def here(argv):
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out.encode()
+
+    def fresh(argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-c", SUBPROCESS_MAIN, *argv],
+                              env=env, check=True, capture_output=True,
+                              timeout=120).stdout
+
+    assert train_predict(here, "here") == train_predict(fresh, "fresh")
