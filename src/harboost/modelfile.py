@@ -26,6 +26,7 @@ from .learners import (
     spec_from_payload,
     value_type,
 )
+from .jsontext import canonical_json
 
 FORMAT_VERSION = 1
 _KIND = "harboost.model"
@@ -77,9 +78,9 @@ def save_model(path, ensemble: BoostedEnsemble, feature_names,
             "dataset_digest": dataset_digest,
         },
     }
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    # canonical_json itself, not reports.to_json: a model file is no
+    # report, and perfbench counts to_json's output as report bytes
+    Path(path).write_text(canonical_json(doc), encoding="utf-8")
 
 
 #: A kind is a _TYPES key ("?": or null), an object's {key: kind} or an

@@ -7,14 +7,13 @@ so text, CSV and JSON always carry the same numbers. predictions_csv
 writes the rows `harboost predict` emits.
 
 JSON reports are schema-stable ("harboost.report.v1"): existing keys are
-never renamed, new keys may appear. Serialization is canonical (sorted
-keys, two-space indent, shortest round-trip floats), so identical inputs
-produce byte-identical reports.
+never renamed, new keys may appear. to_json writes them with
+jsontext.canonical_json, the package's one JSON writer (sorted keys,
+two-space indent, shortest round-trip floats: json.dumps's bytes), so
+identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
-
-import json
 
 from .dataset import ActivityLabel, ActivitySummary, Dataset, dataset_digest
 from .evaluation import (
@@ -24,6 +23,7 @@ from .evaluation import (
     class_precision,
     class_recall,
 )
+from .jsontext import canonical_json
 
 SCHEMA = "harboost.report.v1"
 _HEAT_LEVELS = " .:-=+*#%@"
@@ -161,7 +161,7 @@ def summary_payload(rows: list[ActivitySummary], config: dict, ds: Dataset) -> d
 
 
 def to_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return canonical_json(payload)
 
 
 def _header(title: str, p: dict) -> list[str]:

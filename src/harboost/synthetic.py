@@ -8,7 +8,14 @@ the exact on-disk layout the ingestion code expects.
 Every draw is a bulk SplitMix64.next_floats call, which gives the same
 values and end state as that many next_float calls, so the outputs
 equal those of a per-value loop while no Python code runs per value.
-A row of X_train.txt is one %-format of its Python floats.
+
+X_train.txt holds each value as C's "% .7e" text, and _e7_text writes
+those bytes by array arithmetic, a block of rows at a time: the 8
+digits are rint(|x| * 10**(7-e)) with an exact power of ten, which is
+the correctly rounded result unless the scaled value sits within
+rounding error of a tie. A row holding such a value, one outside the
+exact powers (|x| < 1e-15 or >= 1e8) or a non-finite one takes the
+scalar "% .7e" format whole, so every byte equals that format's.
 """
 
 from __future__ import annotations
@@ -19,6 +26,87 @@ import numpy as np
 
 from .dataset import BODY_ACC_FEATURES, ActivityLabel, Dataset
 from .rng import SplitMix64
+
+
+#: Cells formatted per block of X_train.txt; the formatter's working
+#: arrays take a few dozen bytes per cell, whatever the layout's size.
+_BLOCK_CELLS = 1 << 16
+#: 10**p for 0 <= p <= 22: the powers of ten a double holds exactly.
+_POW10 = np.array([float(10 ** p) for p in range(23)])
+#: One cell of X_train.txt, its "% .7e" text and the separator after
+#: it, as little-endian words: sign and lead digit, "." and 7 digits,
+#: "e", exponent sign, 2 exponent digits and separator.
+_CELL = np.dtype({"names": ["head", "frac", "e", "tail"],
+                  "formats": ["<u2", "<u8", "u1", "<u4"],
+                  "offsets": [0, 2, 10, 11], "itemsize": 15})
+
+
+def _words(texts, dtype) -> np.ndarray:
+    return np.frombuffer("".join(texts).encode(), dtype=dtype)
+
+
+#: " 0" .. " 9" then "-0" .. "-9", at 10 * sign + lead digit
+_HEADS = _words([f"{c}{d}" for c in " -" for d in range(10)], "<u2")
+#: "00" .. "99"
+_PAIRS = _words([f"{i:02d}" for i in range(100)], "<u2").astype(np.uint64)
+#: "0000" .. "9999", the last 4 of the 7 digits after the point
+_DIGITS = (_PAIRS[:, None] | _PAIRS << np.uint64(16)).ravel()
+#: ".000" .. ".999", the first 3: "0000" .. "0999" with "." for "0"
+_POINTS = _DIGITS[:1000] - ord("0") + ord(".")
+#: "-15 " .. "+08 " at exponent + 15
+_TAILS = _words([f"{e:+03d} " for e in range(-15, 9)], "<u4")
+
+
+def _e7_text(table: np.ndarray) -> bytes:
+    """The rows of a 2-D float array as "% .7e" texts joined by spaces,
+    one line per row, byte for byte as the C format writes them."""
+    n, m = table.shape
+    x = table.ravel()
+    zero = x == 0
+    a = np.abs(x)
+    done = np.isfinite(a) & ~zero
+    a[~done] = 1.0
+    # guess the decimal exponent, correct it once, then scale |x| to
+    # 8 digits with one rounding: s is within 2**-53 * s < 1.5e-8 of
+    # the exact product, so rint(s) is printf's rounding unless s's
+    # fraction is that close to .5
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s = a * _POW10.take(7 - e, mode="clip")
+    e += (s >= 1e8).astype(np.int64) - (s < 1e7)
+    done &= (e >= -15) & (e <= 7)
+    s = a * _POW10.take(7 - e, mode="clip")
+    digits = np.rint(s)
+    done &= np.abs(s - np.floor(s) - 0.5) > 1e-7
+    carry = digits == 1e8
+    digits[carry] = 1e7
+    e += carry
+    digits[~done] = 0  # zeros' digits; other rows take the scalar format
+    e[~done] = 0
+    lead, rest = np.divmod(digits.astype(np.int64), 10_000_000)
+    high, low = np.divmod(rest, 10_000)
+
+    cells = np.empty(n * m, dtype=_CELL)
+    cells["head"] = _HEADS[lead + 10 * np.signbit(x)]
+    cells["frac"] = _POINTS[high] | _DIGITS[low] << np.uint64(32)
+    cells["e"] = ord("e")
+    cells["tail"] = _TAILS[e + 15]
+    text = cells.view(np.uint8).reshape(n, m, _CELL.itemsize)
+    text[:, -1, -1] = ord("\n")
+
+    # a row with any other cell (near a tie, out of the exact range or
+    # not finite) is formatted whole by the scalar format
+    rows = text.reshape(n, m * _CELL.itemsize)
+    odd = np.flatnonzero(~(done | zero).reshape(n, m).all(axis=1)).tolist()
+    if not odd:
+        return rows.tobytes()
+    line = " ".join(["% .7e"] * m) + "\n"
+    pieces, start = [], 0
+    for r in odd:
+        pieces += [rows[start:r].tobytes(),
+                   (line % tuple(table[r].tolist())).encode()]
+        start = r + 1
+    pieces.append(rows[start:].tobytes())
+    return b"".join(pieces)
 
 
 def _gauss_pairs(prng: SplitMix64, n: int) -> np.ndarray:
@@ -107,10 +195,10 @@ def write_hapt_layout(
     extra = _gauss_pairs(prng, n_rows * (total_features - ds.n_features))
     extra = np.clip(0.3 * extra, -1.0, 1.0).reshape(n_rows, -1)
     full = np.hstack([ds.features, extra])
-    line = " ".join(["% .7e"] * total_features) + "\n"
-    with open(root / "Train" / "X_train.txt", "w", encoding="utf-8") as fh:
-        for row in full:
-            fh.write(line % tuple(row.tolist()))
+    block = max(1, _BLOCK_CELLS // total_features)
+    with open(root / "Train" / "X_train.txt", "wb") as fh:
+        for start in range(0, n_rows, block):
+            fh.write(_e7_text(full[start:start + block]))
     with open(root / "Train" / "y_train.txt", "w", encoding="utf-8") as fh:
         fh.writelines(f"{l}\n" for l in ds.labels.tolist())
     return root

@@ -106,3 +106,23 @@ def test_one_parser_reads_every_number_from_text():
     dataset = ast.parse((PACKAGE / "dataset.py").read_text())
     assert "_floats" not in {getattr(node, "name", getattr(node, "id", None))
                              for node in ast.walk(dataset)}
+
+
+def test_one_writer_writes_every_json_document():
+    # jsontext.canonical_json is the only writer of indented JSON: reports
+    # reach it through to_json, model files directly
+    indented, writers = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("dumps", "dump") and any(
+                        kw.arg == "indent" for kw in node.keywords):
+                    indented.append(f"{path.name}:{node.lineno}")
+                if name == "canonical_json":
+                    writers.add(f"{path.name}: {getattr(top, 'name', top.lineno)}")
+    assert indented == []
+    assert writers == {"reports.py: to_json", "modelfile.py: save_model"}

@@ -4,7 +4,8 @@ Demos, tests and the benchmark all draw their data here, so every byte
 is pinned: the SHA-256 of each file write_hapt_layout writes, and of the
 arrays and save_csv text of make_activity_dataset. The generators draw
 their SplitMix64 floats in bulk; a guard counts scalar draws so that a
-per-value loop cannot come back unseen.
+per-value loop cannot come back unseen. X_train.txt's array formatter
+is checked value by value against the scalar "% .7e" format.
 """
 
 import hashlib
@@ -57,6 +58,15 @@ HAPT_LAYOUTS = [
         "activity_labels.txt": ACTIVITIES,
         "features.txt": FEATURES_30,
     }),
+    # 300 x 561 cells span more than one of the writer's formatting blocks
+    ((7, 300, 561, None), {
+        "Train/X_train.txt":
+            "54c585c7c2e97d3487c744916ca92da771333c00fa0f18d02ff171ecea9c4bee",
+        "Train/y_train.txt":
+            "274d99e898895b8be81d0720c6575cea76cddf02ad3e5a8bd7711766dfca9ff7",
+        "activity_labels.txt": ACTIVITIES,
+        "features.txt": FEATURES_561,
+    }),
     ((5, 37, 30, UNEVEN_37), {
         "Train/X_train.txt":
             "34194eeb90c584508d595a9a0566be94527dd216c8273b2f561ceaff45558235",
@@ -81,6 +91,11 @@ def test_hapt_layout_files_are_pinned(tmp_path, args, expected):
         for p in sorted(root.rglob("*")) if p.is_file()
     }
     assert written == expected
+
+
+def test_a_pinned_layout_spans_more_than_one_formatting_block():
+    assert max(rows * cols for (_, rows, cols, _), _ in HAPT_LAYOUTS) \
+        > 2 * synthetic._BLOCK_CELLS
 
 
 # make_activity_dataset kwargs -> sha256 of features, labels, save_csv text
@@ -149,3 +164,56 @@ def test_generators_draw_no_scalar_floats(tmp_path, monkeypatch):
         class_counts=(1226, 1073, 987, 1293, 1423, 1413, 47, 23, 75, 60, 90, 57),
     )
     assert calls == []
+
+
+def _near_ties(n: int, seed: int) -> np.ndarray:
+    """9-digit decimals ending in 5, the ties of an 8-digit rounding,
+    over every exponent the array path scales exactly and a few past."""
+    rng = np.random.default_rng(seed)
+    mantissas = rng.integers(10 ** 7, 10 ** 8, n) * 10 + 5
+    exponents = rng.integers(-17, 10, n)
+    return np.array([float(f"{m}e{e - 8}")
+                     for m, e in zip(mantissas.tolist(), exponents.tolist())])
+
+
+_TIES = _near_ties(4000, 20)
+E7_VALUES = {
+    "signed-zero-and-one": [0.0, -0.0, 1.0, -1.0],
+    "subnormal": [5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+                  -2.2250738585072014e-308],
+    "three-digit-exponent": [1e-100, 9.99999995e-100, 9.999999996e-100,
+                             1e-200, -3.14e-150, 1e100, 1.7976931348623157e308],
+    "carry": [9.99999995e-3, 0.0999999995, 9.999999996e-3, 0.09999999996,
+              0.99999999999, 9.9999999951, 99999999.6, 9.99999999e-16,
+              float(np.nextafter(0.1, 0.0)), float(np.nextafter(1.0, 0.0)),
+              float(np.nextafter(1e-15, 0.0)), float(np.nextafter(1e8, 0.0))],
+    "exponent-edges": [1e-15, 1e-16, 1e7, 1e8, 99999999.0, 123456789.0,
+                       1.5e-15, 7.5e-16],
+    "non-finite": [np.inf, -np.inf, np.nan],
+    "near-tie": _TIES.tolist(),
+    "near-tie-up": np.nextafter(_TIES, np.inf).tolist(),
+    "near-tie-down": np.nextafter(_TIES, -np.inf).tolist(),
+    "near-tie-negative": (-_TIES).tolist(),
+    "uniform": np.random.default_rng(21).uniform(-1, 1, 4000).tolist(),
+    "wide": (np.random.default_rng(22).standard_normal(4000)
+             * 10.0 ** np.random.default_rng(23).integers(-20, 12, 4000)
+             ).tolist(),
+}
+
+
+@pytest.mark.parametrize("name", E7_VALUES)
+def test_e7_text_matches_the_scalar_format_value_by_value(name):
+    values = E7_VALUES[name]
+    text = synthetic._e7_text(np.array(values).reshape(-1, 1))
+    assert text.decode().splitlines() == ["% .7e" % v for v in values]
+
+
+def test_e7_text_joins_cells_and_formats_odd_width_rows_whole():
+    table = np.array([[0.5, -0.25, 1e-3],
+                      [np.inf, 2.0, 1e-120],
+                      [-0.0, 0.0999999995, 3.0],
+                      [np.nan, 1.0, -1.0]])
+    expected = "".join(" ".join("% .7e" % v for v in row) + "\n"
+                       for row in table.tolist())
+    assert synthetic._e7_text(table) == expected.encode()
+    assert synthetic._e7_text(np.empty((0, 3))) == b""
