@@ -1,18 +1,21 @@
 """k-nearest-neighbor classifier with weighted neighbor voting.
 
-Distances are plain Euclidean over the numeric features. The k nearest
-stored rows vote with their stored training weights; distance ties are
-broken toward the lower stored-row index and vote ties toward the lower
-class id. When a query equals a stored row (e.g. evaluating training
-rows), that row participates in its own neighbor set.
+Distances are plain Euclidean over the numeric features. A squared
+distance is the sum of (q_f - r_f)^2 over the features in column order,
+so it depends on the two rows' values alone. The k nearest stored rows
+vote with their stored training weights; distance ties are broken toward
+the lower stored-row index and vote ties toward the lower class id. When
+a query equals a stored row (e.g. evaluating training rows), that row
+participates in its own neighbor set.
 
 A neighbor table lists each query's neighbors nearest first, in
 (squared distance, stored-row index) order, and votes add in that order.
-Within fold_scope, a cross-validation's tables are read from one ranking
-of all its rows: a fold's training rows are all rows but the fold's, so
-a query's neighbors among them are its ranking row without the fold's
-rows. A BLAS may sum a product in another order for another shape, so a
-table row is read so only where no such order could change it.
+A matrix product only narrows the stored rows down: its estimates are
+within a rounding bound of the distances, which order every query the
+estimates leave in doubt. Within fold_scope, a cross-validation's tables
+are read from one ranking of all its rows: a fold's training rows are
+all rows but the fold's, so a query's neighbors among them are its
+ranking row without the fold's rows.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ import numpy as np
 
 from ..numerics import FieldPayload, _frozen, check_array, check_rows
 
-_BLOCK = 1024
-# distance cells a table pass partitions at once: 1 MB of float64, so the
-# partition and the tie count read a pass from cache
+# distance estimates a table pass holds at once: 1 MB of float64, so the
+# partition and the candidate count read a pass from cache
 _PASS_CELLS = 1 << 17
 
 
@@ -95,74 +97,90 @@ def fit_knn(ds, w, k: int) -> KnnModel:
     return KnnModel(rows, labels, weights, k, np.unique(labels))
 
 
-def neighbor_table(rows: np.ndarray, queries: np.ndarray, k: int,
-                   distances: np.ndarray | None = None) -> np.ndarray:
+def neighbor_table(rows: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """(n_queries, k) indices of each query's k nearest stored rows.
 
     A row of the table is the query's first k stored rows in (squared
     distance, row index) order, in that order: votes add their weights
-    in table order. At k == n every row is 0..n-1 in index order.
-    distances, an (n_queries, k) float64 array for a k below n, receives
-    each entry's squared distance.
+    in table order. The squared distance is the fixed-order sum of
+    (q_f - r_f)^2 over the features in column order. At k == n every row
+    is 0..n-1 in index order.
 
-    Each block of _BLOCK queries takes one product with the stored rows
-    (a block's shape fixes the product's bits), which becomes squared
-    distances in place, (q_sq - 2 g) + row_sq clipped at 0, and is
-    partitioned a pass of about _PASS_CELLS cells at a time.
+    A pass of _PASS_CELLS // n queries estimates its distances from one
+    product with the stored rows, (q_sq - 2 q.r) + r_sq clipped at 0, and
+    partitions them. An estimate is within slack of its distance, so only
+    a row estimated within 2 slack of the k-th estimate can be among the
+    k nearest. A query whose k partitioned rows are its only such rows,
+    and are each more than 2 slack apart, keeps their estimated order;
+    every other query ranks its candidates by their distances.
     """
-    n = rows.shape[0]
+    n, d = rows.shape
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} stored rows")
     if k == n:
-        if distances is not None:
-            raise ValueError("distances are kept only for a k below n")
         return np.tile(np.arange(n), (queries.shape[0], 1))
     row_sq = np.einsum("ij,ij->i", rows, rows)
+    q_sq = np.einsum("ij,ij->i", queries, queries)
+    # slack: a bound on |estimate - distance| per query. With u = eps / 2,
+    # gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., sec. 3.1) and Q, R, G the exact q.q,
+    # r.r and q.r, the exact distance D* = Q - 2 G + R is at most 2 (Q + R).
+    # - The fixed-order sum: a term's difference and square scale it by
+    #   (1 + d1)^2 (1 + d2), and it meets at most d - 1 rounded additions,
+    #   so the sum is within gamma_{d+2} D* <= 2 gamma_{d+2} (Q + R) of D*.
+    # - The estimate: a dot product summed in any order is within gamma_d
+    #   of the sum of its terms' magnitudes, so q_sq - 2 g + r_sq is within
+    #   2 gamma_d (Q + R) of D*, and its subtraction and addition, of values
+    #   at most 2 (Q + R), round by 4 u (Q + R) more. The clip at 0 only
+    #   moves an estimate toward D* >= 0.
+    # The two differ by at most (4 d + 8) u (Q + R) = 2 (d + 2) eps (Q + R)
+    # to first order. c = 4 doubles that, which covers the higher-order
+    # terms, Q + R against the computed q_sq + max r_sq and the rounding of
+    # the tests against slack below, while d u < 0.01. Outside this model,
+    # each of the 5 d products and squares that can underflow errs by half
+    # the smallest subnormal at most: the second term.
+    slack = (4 * (d + 2) * np.finfo(np.float64).eps * (q_sq + row_sq.max())
+             + 3 * d * np.finfo(np.float64).smallest_subnormal)
     out = np.empty((queries.shape[0], k), dtype=np.int64)
-    if distances is None:
-        distances = np.empty(out.shape)
-    for start in range(0, queries.shape[0], _BLOCK):
-        q = queries[start:start + _BLOCK]
-        # no name holds the product, so it is freed before the next block's
-        _block_table(q @ rows.T, np.einsum("ij,ij->i", q, q), row_sq,
-                     out[start:start + _BLOCK],
-                     distances[start:start + _BLOCK])
+    step = max(1, _PASS_CELLS // n)
+    est = np.empty((min(step, queries.shape[0]), n))
+    for s in range(0, queries.shape[0], step):
+        q = queries[s:s + step]
+        e = np.matmul(q, rows.T, out=est[:len(q)])
+        e *= -2.0
+        e += q_sq[s:s + step, None]
+        e += row_sq
+        np.maximum(e, 0.0, out=e)
+        # a copy, so that the partition's whole index array is freed now
+        part = np.argpartition(e, k - 1, axis=1)[:, :k].copy()
+        near = np.take_along_axis(e, part, axis=1)
+        bound = near[:, -1] + 2 * slack[s:s + step]
+        cand = e <= bound[:, None]
+        cand[~np.isfinite(bound)] = True
+        n_cand = np.add.reduce(cand.view(np.uint8), axis=1, dtype=np.int32)
+        order = near.argsort(axis=1)
+        gaps = np.diff(np.take_along_axis(near, order, axis=1), axis=1)
+        sure = (n_cand == k) & (gaps > 2 * slack[s:s + step, None]).all(axis=1)
+        block = out[s:s + step]
+        block[:] = np.take_along_axis(part, order, axis=1)
+        redo = np.flatnonzero(~sure)
+        if redo.size:
+            block[redo] = _rank_candidates(rows, q[redo], cand[redo], k)
     return out
 
 
-def _block_table(d2, q_sq, row_sq, out, dist) -> None:
-    """Fill out, (m, k), and dist, its squared distances, from d2, the
-    (m, n) products of m queries with the stored rows, overwriting d2
-    with squared distances."""
-    k = out.shape[1]
-    step = max(1, _PASS_CELLS // d2.shape[1])
-    le = np.empty((min(step, d2.shape[0]), d2.shape[1]), dtype=bool)
-    for s in range(0, d2.shape[0], step):
-        d = d2[s:s + step]
-        # -2 g + q_sq has the bits of q_sq - 2 g: scaling by -2 is exact
-        d *= -2.0
-        d += q_sq[s:s + step, None]
-        d += row_sq
-        np.maximum(d, 0.0, out=d)
-        part = np.argpartition(d, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(d, part[:, -1:], axis=1)[:, 0]
-        at_most = np.less_equal(d, kth[:, None], out=le[:len(d)])
-        n_le = np.add.reduce(at_most.view(np.uint8), axis=1, dtype=np.int32)
-        block = out[s:s + step]
-        block[:] = part
-        for i in np.flatnonzero(n_le > k):
-            # boundary tie: keep strictly-closer rows, fill the remainder
-            # with the lowest-index rows at the boundary distance
-            di = d[i]
-            closer = np.flatnonzero(di < kth[i])
-            at = np.flatnonzero(di == kth[i])[: k - closer.size]
-            block[i] = np.concatenate([closer, at])
-        # (distance, index) order: index-sorted, then stably by distance
-        block.sort(axis=1)
-        near = np.take_along_axis(d, block, axis=1)
-        order = near.argsort(axis=1, kind="stable")
-        block[:] = np.take_along_axis(block, order, axis=1)
-        dist[s:s + step] = np.take_along_axis(near, order, axis=1)
+def _rank_candidates(rows, queries, cand, k: int) -> np.ndarray:
+    """(len(queries), k): the first k stored rows that cand marks for
+    each query, in (fixed-order squared distance, row index) order."""
+    qi, j = np.nonzero(cand)
+    dist = np.zeros(qi.size)
+    for f in range(rows.shape[1]):
+        t = queries[qi, f] - rows[j, f]
+        dist += t * t
+    # qi ascends, so a query's candidates keep their span of the sort
+    order = np.lexsort((j, dist, qi))
+    start = np.searchsorted(qi, np.arange(len(queries)))
+    return j[order[start[:, None] + np.arange(k)]]
 
 
 @dataclass
@@ -179,23 +197,10 @@ class _Ranking:
         return next((rows for part, rows in self.parts if part is a), None)
 
     @functools.cached_property
-    def ranked(self):
-        """(table, dist, slack). Row i of table: the first `depth` rows
-        of features in (squared distance, row index) order from row i,
-        over all rows; dist: their squared distances; slack[i]: twice a
-        bound on how far two evaluations of one of row i's squared
-        distances, (q_sq - 2 g) + r_sq over d features, can differ when
-        their dot products are summed in other orders. In each, g, q_sq
-        and r_sq are within d eps / 2 times the sum of their terms'
-        magnitudes of the exact values, and the two additions round by
-        at most 2 eps (q_sq + r_sq), so two differ by at most
-        (2 d + 4) eps (q_sq + r_sq), r_sq being at most the largest."""
-        X = self.features
-        dist = np.empty((len(X), self.depth))
-        table = neighbor_table(X, X, self.depth, dist)
-        sq = np.einsum("ij,ij->i", X, X)
-        eps = np.finfo(np.float64).eps
-        return table, dist, (4 * X.shape[1] + 16) * eps * (sq + sq.max())
+    def ranked(self) -> np.ndarray:
+        """Row i: the first `depth` rows of features in (squared
+        distance, row index) order from row i, over all rows."""
+        return neighbor_table(self.features, self.features, self.depth)
 
 
 #: The ranking of the fold_scope block this context runs in, if any.
@@ -212,7 +217,7 @@ def fold_scope(features, folds: int, parts, k: int):
     fit or predict on (training features, test matrices) with its rows
     of features, ascending. A ranking row holds 2 (k + ceil(k / (folds -
     1))) + 16 rows (at most n - 1): a fold drops about 1/folds of them,
-    which leaves k + 1 for all but about one query in a million.
+    which leaves k for all but about one query in a million.
     """
     depth = min(2 * (k + -(-k // (folds - 1))) + 16, len(features) - 1)
     token = _ranking.set(_Ranking(features, parts, depth))
@@ -226,32 +231,26 @@ def table_for(rows, queries, k: int) -> np.ndarray:
     """neighbor_table(rows, queries, k), read from the fold_scope ranking
     when rows and queries are both among its parts.
 
-    Stored rows in ascending order keep the ranking's index order, so a
-    query's k nearest of them are the first k of its ranking row that
-    they hold, when the first k + 1 are each more than twice the slack
-    farther than the last: then no order of summing the products could
-    change the set or its order. A block of _BLOCK queries holding any
-    other query is built by neighbor_table, as in the whole table.
+    Stored rows in ascending order keep the ranking's index order, and a
+    distance depends on the two rows' values alone, so a query's k
+    nearest stored rows are the first k of its ranking row that they
+    hold. neighbor_table builds the rows of queries whose ranking row
+    holds fewer.
     """
     ranking = _ranking.get()
     stored = ranking and ranking.rows_of(rows)
     asked = ranking and ranking.rows_of(queries)
     if stored is None or asked is None or k >= len(stored):
         return neighbor_table(rows, queries, k)
-    table, dist, slack = ranking.ranked
-    position = np.full(len(table), -1)
+    position = np.full(len(ranking.features), -1)
     position[stored] = np.arange(len(stored))
-    held = position[table[asked]]
-    first = (held >= 0) & (np.cumsum(held >= 0, axis=1) <= k + 1)
-    full = first.sum(axis=1) > k
-    gaps = np.diff(dist[asked[full]][first[full]].reshape(-1, k + 1), axis=1)
-    sure = np.zeros(len(asked), dtype=bool)
-    sure[full] = (gaps > 2 * slack[asked[full], None]).all(axis=1)
+    held = position[ranking.ranked[asked]]
+    first = (held >= 0) & (np.cumsum(held >= 0, axis=1) <= k)
+    short = first.sum(axis=1) < k
     out = np.empty((len(asked), k), dtype=np.int64)
-    out[sure] = held[sure][first[sure]].reshape(-1, k + 1)[:, :k]
-    for start in np.unique(np.flatnonzero(~sure) // _BLOCK) * _BLOCK:
-        out[start:start + _BLOCK] = neighbor_table(
-            rows, queries[start:start + _BLOCK], k)
+    out[~short] = held[~short][first[~short]].reshape(-1, k)
+    if short.any():
+        out[short] = neighbor_table(rows, queries[short], k)
     return out
 
 

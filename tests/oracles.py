@@ -42,50 +42,27 @@ def knn_neighbor_set(x, rows, k):
     return sorted(range(len(rows)), key=lambda i: (d2[i], i))[:k]
 
 
-# Frozen copies of the blocked neighbor table and the np.add.at vote that
-# the k-NN learner shipped with. Whole-block temporaries, kept verbatim:
-# the library's table and votes must equal these bit for bit, within-row
-# table order included, since votes add their weights in table order.
-
-_BLOCK = 1024
-
-
 def knn_neighbor_table(rows: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    """(n_queries, k) indices of each query's k nearest stored rows.
+    """(n_queries, k) indices of each query's k nearest stored rows,
+    nearest first.
 
-    The neighbor set is the first k rows in (squared distance, row index)
-    order. Index order inside a row of the table is unspecified; only set
-    membership matters to the weighted vote.
+    A squared distance is the sum of (q_f - r_f)^2 over the features in
+    column order, computed for every (query, row) pair at once; a row of
+    the table is the first k rows in (distance, row index) order.
     """
     n = rows.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} stored rows")
-    row_sq = np.einsum("ij,ij->i", rows, rows)
-    out = np.empty((queries.shape[0], k), dtype=np.int64)
-    for start in range(0, queries.shape[0], _BLOCK):
-        q = queries[start:start + _BLOCK]
-        d2 = np.maximum(
-            np.einsum("ij,ij->i", q, q)[:, None] - 2.0 * (q @ rows.T) + row_sq,
-            0.0,
-        )
-        if k == n:
-            out[start:start + _BLOCK] = np.arange(n)
-            continue
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(d2, part[:, -1:], axis=1)[:, 0]
-        n_le = (d2 <= kth[:, None]).sum(axis=1)
-        block = out[start:start + _BLOCK]
-        block[:] = part
-        for i in np.flatnonzero(n_le > k):
-            # boundary tie: keep strictly-closer rows, fill the remainder
-            # with the lowest-index rows at the boundary distance
-            di = d2[i]
-            closer = np.flatnonzero(di < kth[i])
-            at = np.flatnonzero(di == kth[i])[: k - closer.size]
-            block[i] = np.concatenate([closer, at])
-    return out
+    d2 = np.zeros((queries.shape[0], n))
+    for f in range(rows.shape[1]):
+        d2 += (queries[:, f, None] - rows[None, :, f]) ** 2
+    index = np.broadcast_to(np.arange(n), d2.shape)
+    return np.lexsort((index, d2), axis=1)[:, :k]
 
 
+# A frozen copy of the np.add.at vote the k-NN learner shipped with: the
+# library's votes must equal it bit for bit, since they add their weights
+# in table order.
 def knn_vote_scores(table, label_idx, weights, n_classes: int) -> np.ndarray:
     """Summed vote weight per class for each query's neighbor set."""
     nq = table.shape[0]

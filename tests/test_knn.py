@@ -121,46 +121,28 @@ def _boundary_ties(rows, queries, k):
     return int(((d2 <= kth[:, None]).sum(axis=1) > k).sum())
 
 
-def _nearest_first(rows, queries, table):
-    """Each row of table in (squared distance, index) order, with the
-    oracle's distances: its expression, a 1024-query block at a time."""
-    row_sq = np.einsum("ij,ij->i", rows, rows)
-    out = []
-    for start in range(0, len(queries), 1024):
-        q = queries[start:start + 1024]
-        d2 = np.maximum(np.einsum("ij,ij->i", q, q)[:, None]
-                        - 2.0 * (q @ rows.T) + row_sq, 0.0)
-        out += [sorted(row, key=lambda j: (d2[i, j], j))
-                for i, row in enumerate(table[start:start + 1024].tolist())]
-    return np.array(out, dtype=np.int64).reshape(table.shape)
-
-
-def _check_against_oracle(rows, queries, k):
-    # the oracle pins each row's set; the order within a row, which the
-    # vote adds weights in, is nearest first (index order at k == n)
-    want = oracles.knn_neighbor_table(rows, queries, k)
-    got = neighbor_table(rows, queries, k)
-    assert got.dtype == want.dtype
-    assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1)), k
-    if k < len(rows):
-        want = _nearest_first(rows, queries, want)
-    assert np.array_equal(got, want), k
+def _check_against_oracle(rows, queries, ks):
+    # each row nearest first, as votes add their weights in table order;
+    # in index order at k == n
+    ranked = oracles.knn_neighbor_table(rows, queries, len(rows))
+    for k in ks:
+        want = np.sort(ranked, axis=1) if k == len(rows) else ranked[:, :k]
+        got = neighbor_table(rows, queries, k)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), k
 
 
 @pytest.mark.parametrize("n", [13, 1800, 2049])
 @pytest.mark.parametrize("nq", [1, 2, 1023, 1024, 1025, 2049])
 def test_neighbor_table_equals_blocked_oracle(n, nq):
-    # 1025 queries leave a 1-row product tail
     rows, queries = _tie_data(n, seed=n), _tie_data(nq, seed=n + nq)
-    for k in (1, 12, n):
-        _check_against_oracle(rows, queries, k)
+    _check_against_oracle(rows, queries, (1, 12, n))
 
 
 @pytest.mark.parametrize("n", [13, 1800])
 def test_neighbor_table_on_stored_rows_equals_oracle(n):
     rows = _tie_data(n, seed=7 * n)
-    for k in (1, 12):
-        _check_against_oracle(rows, rows, k)
+    _check_against_oracle(rows, rows, (1, 12))
 
 
 def test_oracle_pin_data_has_boundary_ties():
@@ -185,24 +167,78 @@ def test_vote_scores_equal_add_at_oracle_in_table_order():
     assert not np.array_equal(reordered, want)
 
 
-def test_neighbor_table_peak_memory_below_two_blocks():
-    # one (1024 x 1800) float64 product per block, turned into distances
-    # in place: whole-block temporaries would push the peak past 2 blocks
+@pytest.mark.parametrize("k", [2, 7])
+def test_stored_copies_rank_lowest_index_first(k):
+    # 300 distinct rows, each stored 3 times at shuffled positions: a
+    # query's row is its own copies, then the next nearest distinct rows'
+    # copies, each lowest index first (a BLAS product once gave copies
+    # distances a few bits apart: at this draw 2 rows at k = 2 and 6 at
+    # k = 7 took other copies or another order)
+    rng = np.random.default_rng(0)
+    distinct = rng.normal(size=(300, 15))
+    copy_of = rng.permutation(np.repeat(np.arange(300), 3))
+    copies = np.argsort(copy_of, kind="stable").reshape(300, 3)
+    nearest = oracles.knn_neighbor_table(distinct, distinct, 3)
+    want = copies[nearest[copy_of]].reshape(900, 9)[:, :k]
+    rows = distinct[copy_of]
+    assert np.array_equal(neighbor_table(rows, rows, k), want)
+
+
+@pytest.mark.parametrize("n", [203, 450])
+def test_stored_rows_and_their_copy_give_one_table(n):
+    # numpy multiplies a buffer by itself with syrk and by a copy with
+    # gemm, whose products differ in their last bits; with every query in
+    # one product, both sizes once gave other rows at k = 12
+    rows = _tie_data(n, seed=n)
+    for k in (1, 12):
+        assert np.array_equal(neighbor_table(rows, rows, k),
+                              neighbor_table(rows, rows.copy(), k)), k
+
+
+@pytest.mark.parametrize("cells", [7, 2000])
+def test_neighbor_table_does_not_depend_on_the_pass(monkeypatch, cells):
+    # 1 and 9 queries a pass, against one pass of all 203 stored rows,
+    # which numpy multiplies by themselves with syrk
+    rows, queries = _tie_data(203, seed=5), _tie_data(300, seed=6)
+    want = [neighbor_table(rows, q, k) for q in (rows, queries)
+            for k in (1, 12)]
+    monkeypatch.setattr(knn, "_PASS_CELLS", cells)
+    got = [neighbor_table(rows, q, k) for q in (rows, queries)
+           for k in (1, 12)]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("scale, offset", [(1.0, 1e4), (1e160, 0.0)])
+def test_neighbor_table_of_offset_rows_equals_oracle(scale, offset):
+    # at 1e4 from the origin, q_sq - 2 q.r + r_sq cancels about 9 of its
+    # 16 digits: the slack, not the estimates, must separate the rows; at
+    # 1e160 the estimates overflow, and so do most distances, which then
+    # tie at inf
+    rows = _tie_data(300, seed=1) * scale + offset
+    queries = _tie_data(90, seed=2) * scale + offset
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_against_oracle(rows, rows, (1, 12))
+        _check_against_oracle(rows, queries, (1, 12))
+
+
+def test_neighbor_table_peak_memory_is_a_few_passes():
+    # estimates are held one pass of _PASS_CELLS cells at a time, so the
+    # peak does not grow with the queries; a whole (1800 x 1800) product
+    # would take 25.9 MB
     rng = np.random.default_rng(3)
     rows, queries = rng.normal(size=(1800, 15)), rng.normal(size=(1800, 15))
-    block_bytes = 1024 * 1800 * 8
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        neighbor_table(rows, queries, 12)
+        table = neighbor_table(rows, queries, 12)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < 2 * block_bytes, peak / block_bytes
+    assert peak < 3 * knn._PASS_CELLS * 8 + table.nbytes, peak
 
 
 def _counting_neighbor_table(monkeypatch):
@@ -225,7 +261,7 @@ def test_boosted_cv_builds_one_ranking_per_task(monkeypatch, folds):
     calls = _counting_neighbor_table(monkeypatch)
     cross_validate(spec(5), ds, folds=folds, rounds=4, seed=2)
     assert len(calls) == 1
-    rows, queries, depth, _ = calls[0]
+    rows, queries, depth = calls[0]
     assert rows is ds.features and queries is ds.features
     assert depth == 2 * (5 + -(-5 // (folds - 1))) + 16
 
@@ -284,8 +320,7 @@ def test_fold_tables_equal_direct_tables(monkeypatch, folds, ties):
     # the ranking's products have 203 columns, a fold's training table's
     # fewer, and a BLAS may sum some columns in another order for another
     # shape (OpenBLAS's Haswell kernel does so for the last columns mod
-    # 8): tied distances then differ in their last bits, so the tables of
-    # tied rows must come from neighbor_table itself
+    # 8): the tables of tied rows are read from the ranking all the same
     features = _tie_data(203, seed=folds) if ties else \
         np.random.default_rng(folds).normal(size=(203, 4))
     ds = Dataset(features, np.arange(203) % 3 + 1, ("a", "b", "c", "d"))
@@ -294,7 +329,7 @@ def test_fold_tables_equal_direct_tables(monkeypatch, folds, ties):
     for k in (1, 12, n_train - 1, n_train):
         calls = _counting_neighbor_table(monkeypatch)
         tables = _fold_tables(ds.features, assignment, k)
-        if not ties and k <= 12:  # read from the ranking alone
+        if k <= 12:  # read from the ranking alone
             assert [args[0] for args in calls] == [ds.features]
         monkeypatch.undo()
         _assert_direct(tables, k)
