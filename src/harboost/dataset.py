@@ -11,10 +11,11 @@ and Postural Transitions", UCI ML repository) ships precomputed features:
 
 Only the Train partition is consumed. All feature values are normalized
 to [-1, 1] by the distribution; out-of-range or non-finite cells are
-treated as hard errors, never repaired. Every number in these files and
-in a CSV is parsed by one np.loadtxt call (_table): ASCII decimals with
-no `_` separators, and integers within int64. Files must be UTF-8;
-blank and whitespace-only lines are skipped.
+treated as hard errors, never repaired, and any feature matrix, a
+CSV's too, must hold magnitudes below MAX_MAGNITUDE. Every number in
+these files and in a CSV is parsed by one np.loadtxt call (_table):
+ASCII decimals with no `_` separators, and integers within int64.
+Files must be UTF-8; blank and whitespace-only lines are skipped.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .floattext import repr_rows
 from .rng import SplitMix64
 
 
@@ -52,6 +54,9 @@ class ActivityLabel(enum.IntEnum):
     STAND_TO_LIE = 11
     LIE_TO_STAND = 12
 
+
+#: Each activity id's name, as the CSVs write it.
+ACTIVITY_NAMES = {int(label): label.name for label in ActivityLabel}
 
 #: Row/column ordering used when rendering 12-class confusion matrices.
 REPORT_CLASS_ORDER = (
@@ -95,12 +100,28 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+#: Feature magnitudes must stay below this: the square of a difference
+#: of two such values, summed over thousands of features, stays finite,
+#: as k-NN's squared distances need.
+MAX_MAGNITUDE = 1e150
+
+
 def require_finite(feats: np.ndarray, where: str = "") -> None:
-    """Raise DataError naming the first non-finite cell (1-based row and
-    column of the matrix), prefixed by `where`."""
-    if not np.isfinite(feats).all():
-        r, c = np.argwhere(~np.isfinite(feats))[0]
-        raise DataError(f"{where}non-finite value at row {r + 1}, column {c + 1}")
+    """Raise DataError naming the first cell (1-based row and column of
+    the matrix) that is not finite or not below MAX_MAGNITUDE in
+    magnitude, prefixed by `where`."""
+    # min and max pass NaN on, and take no copy of a 561-column matrix
+    if not feats.size or (-MAX_MAGNITUDE < feats.min()
+                          and feats.max() < MAX_MAGNITUDE):
+        return
+    r, c = np.argwhere(~(np.abs(feats) < MAX_MAGNITUDE))[0]
+    if not np.isfinite(feats[r, c]):
+        raise DataError(
+            f"{where}non-finite value at row {r + 1}, column {c + 1}")
+    raise DataError(
+        f"{where}value {float(feats[r, c])!r} at row {r + 1}, column "
+        f"{c + 1} is out of range: magnitudes must be below "
+        f"{MAX_MAGNITUDE:g}")
 
 
 @dataclass(frozen=True)
@@ -180,8 +201,8 @@ def dataset_digest(ds: Dataset) -> str:
     h.update(f"{ds.n_rows} {ds.n_features}\n".encode())
     h.update((",".join(ds.feature_names) + "\n").encode())
     # repr of a float is the shortest decimal that round-trips to it
-    for row, lab in zip(ds.features.tolist(), ds.labels.tolist()):
-        h.update(f"{' '.join(map(repr, row))} {lab}\n".encode())
+    for text, lab in zip(repr_rows(ds.features, " "), ds.labels.tolist()):
+        h.update(f"{text} {lab}\n".encode())
     return h.hexdigest()
 
 
@@ -410,9 +431,8 @@ def save_csv(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join([*ds.feature_names, "activity_id", "activity_name"]))
         fh.write("\n")
-        for row, lab in zip(ds.features, ds.labels.tolist()):
-            cells = [*map(repr, row.tolist()), str(lab), ActivityLabel(lab).name]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(f"{text},{lab},{ACTIVITY_NAMES[lab]}\n" for text, lab
+                      in zip(repr_rows(ds.features, ","), ds.labels.tolist()))
 
 
 def _read_csv(path, require_labels: bool):

@@ -3,15 +3,23 @@
 canonical_json(doc) is json.dumps(doc, sort_keys=True, indent=2) + "\\n"
 byte for byte. With an indent, json.dumps encodes every value in
 Python; here dicts and nested lists are walked in Python, and each
-list of scalars (a model's stored rows, a confusion matrix's counts)
+list of scalars (a model's vote weights, a confusion matrix's counts)
 is one call of the C encoder whose item separator carries the newline
-and indent.
+and indent. A list of equal-length lists of finite floats (k-NN's
+stored rows, kernel naive Bayes's samples) is one float64 matrix,
+whose rows floattext.repr_rows writes as the encoder's float.__repr__
+would.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from functools import lru_cache
+
+import numpy as np
+
+from .floattext import repr_rows
 
 #: Types whose values the C encoder writes as json.dumps writes them.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -51,6 +59,12 @@ def _write(value, newline: str, out: list[str]) -> None:
         elif set(map(type, value)) <= _SCALARS:
             out.append("[" + inner + _scalar_list(inner)(value)[1:-1]
                        + newline + "]")
+        elif (table := _float_table(value)) is not None:
+            # the rows as the branch below writes them, one join for all
+            cell = inner + "  "
+            rows = f"{inner}],{inner}[{cell}".join(
+                repr_rows(table, "," + cell))
+            out.append(f"[{inner}[{cell}{rows}{inner}]{newline}]")
         else:
             sep = "[" + inner
             for item in value:
@@ -60,6 +74,18 @@ def _write(value, newline: str, out: list[str]) -> None:
             out.append(newline + "]")
     else:
         out.append(_scalar(value))
+
+
+def _float_table(rows) -> np.ndarray | None:
+    """rows as a float64 matrix if they are lists (or tuples) of one
+    non-zero length holding finite floats alone, else None."""
+    cells = itertools.chain.from_iterable
+    if not (set(map(type, rows)) <= {list, tuple}
+            and len(set(map(len, rows))) == 1 and rows[0]
+            and set(map(type, cells(rows))) == {float}):
+        return None
+    table = np.fromiter(cells(rows), np.float64, len(rows) * len(rows[0]))
+    return table.reshape(len(rows), -1) if np.isfinite(table).all() else None
 
 
 def _key(key) -> str:

@@ -51,12 +51,14 @@ def save_model(path, ensemble: BoostedEnsemble, feature_names,
     shared_rows = None
     rounds = []
     for r in ensemble.rounds:
-        payload = r.model.to_payload()
-        if "rows" in payload:
-            if shared_rows is None:
-                shared_rows = payload["rows"]
-            if payload["rows"] == shared_rows:
-                payload = {**payload, "rows": "shared"}
+        rows = getattr(r.model, "rows", None)  # a k-NN model's training rows
+        if rows is not None and shared_rows is None:
+            shared_rows = rows
+        if rows is not None and (rows is shared_rows
+                                 or np.array_equal(rows, shared_rows)):
+            payload = r.model.to_payload(rows="shared")
+        else:
+            payload = r.model.to_payload()
         rounds.append({
             "alpha": r.alpha,
             "epsilon": r.epsilon,
@@ -71,7 +73,8 @@ def save_model(path, ensemble: BoostedEnsemble, feature_names,
         "rounds_requested": ensemble.rounds_requested,
         "seed": ensemble.seed,
         "rounds": rounds,
-        "shared_knn_rows": shared_rows,
+        "shared_knn_rows": (None if shared_rows is None
+                            else shared_rows.tolist()),
         "feature_names": list(feature_names),
         "metadata": {
             "n_rows": int(n_rows),

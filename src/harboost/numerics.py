@@ -68,10 +68,11 @@ class FieldPayload:
 
     family: ClassVar[str]
 
-    def to_payload(self) -> dict:
+    def to_payload(self, **given) -> dict:
+        """The payload; a field named in given takes the value given."""
         out = {"family": self.family}
         for f in fields(self):
-            v = getattr(self, f.name)
+            v = given.get(f.name, getattr(self, f.name))
             if isinstance(v, np.ndarray):
                 v = v.tolist()
             elif isinstance(v, tuple):

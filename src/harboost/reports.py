@@ -15,7 +15,9 @@ identical inputs produce byte-identical reports.
 
 from __future__ import annotations
 
-from .dataset import ActivityLabel, ActivitySummary, Dataset, dataset_digest
+import numpy as np
+
+from .dataset import ACTIVITY_NAMES, ActivitySummary, Dataset, dataset_digest
 from .evaluation import (
     ComparisonReport,
     ConfusionMatrix,
@@ -23,6 +25,7 @@ from .evaluation import (
     class_precision,
     class_recall,
 )
+from .floattext import repr_rows
 from .jsontext import canonical_json
 
 SCHEMA = "harboost.report.v1"
@@ -66,6 +69,12 @@ def _align(table: list[list[str]], right_from: int = 1) -> str:
 
 def _csv(table: list[list[str]]) -> str:
     return "\n".join(",".join(row) for row in table)
+
+
+def _reprs(values) -> list[str]:
+    """repr of each float in values."""
+    column = np.array(values, dtype=np.float64).reshape(-1, 1)
+    return list(repr_rows(column, ""))
 
 
 def _confusion_block(cm: ConfusionMatrix) -> dict:
@@ -179,7 +188,8 @@ def _header(title: str, p: dict) -> list[str]:
 def _metrics(p: dict, metrics: list[tuple[str, float]]) -> list[list[str]]:
     """The metric,value block that closes a CSV report."""
     rows = [["metric", "value"]]
-    rows += [[name, repr(v)] for name, v in metrics]
+    rows += [[name, text] for (name, _), text
+             in zip(metrics, _reprs([v for _, v in metrics]))]
     rows.append(["dataset_digest", p["dataset"]["digest"]])
     rows += [[f"config_{k}", str(v)] for k, v in sorted(p["config"].items())]
     return rows
@@ -228,9 +238,9 @@ def _comparison_csv(p: dict) -> str:
     table = [["learner", *_ACCURACIES, "implemented"]]
     for row in p["rows"]:
         done = row["implemented"]
-        table.append([row["name"],
-                      *(repr(row[k]) if done else "" for k in _ACCURACIES),
-                      "true" if done else "false"])
+        values = (_reprs([row[k] for k in _ACCURACIES]) if done
+                  else [""] * len(_ACCURACIES))
+        table.append([row["name"], *values, "true" if done else "false"])
     return _csv(table + [[]] + _metrics(p, []))
 
 
@@ -244,9 +254,11 @@ def _summary_text(p: dict) -> str:
 
 def _summary_csv(p: dict) -> str:
     table = [["activity_id", "activity", "feature", *_SUMMARY_STATS]]
-    for r in p["rows"]:
+    n = len(_SUMMARY_STATS)
+    stats = _reprs([r[k] for r in p["rows"] for k in _SUMMARY_STATS])
+    for i, r in enumerate(p["rows"]):
         table.append([str(r["activity_id"]), r["activity"], r["feature"],
-                      *(repr(r[k]) for k in _SUMMARY_STATS)])
+                      *stats[n * i:n * i + n]])
     return _csv(table)
 
 
@@ -270,5 +282,5 @@ def render(payload: dict, fmt: str) -> str:
 def predictions_csv(pred) -> str:
     """The row,activity_id,activity_name CSV of predicted activity ids."""
     return "row,activity_id,activity_name\n" + "".join(
-        f"{i},{int(p)},{ActivityLabel(int(p)).name}\n"
-        for i, p in enumerate(pred))
+        f"{i},{p},{ACTIVITY_NAMES[p]}\n"
+        for i, p in enumerate(np.asarray(pred, dtype=np.int64).tolist()))

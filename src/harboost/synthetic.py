@@ -11,7 +11,8 @@ equal those of a per-value loop while no Python code runs per value.
 
 X_train.txt holds each value as C's "% .7e" text, and _e7_text writes
 those bytes by array arithmetic, a block of rows at a time: the 8
-digits are rint(|x| * 10**(7-e)) with an exact power of ten, which is
+digits are rint(|x| * 10**(7-e)) with an exact power of ten (scaled as
+floattext scales a value for its shortest text), which is
 the correctly rounded result unless the scaled value sits within
 rounding error of a tie. A row holding such a value, one outside the
 exact powers (|x| < 1e-15 or >= 1e8) or a non-finite one takes the
@@ -25,14 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import BODY_ACC_FEATURES, ActivityLabel, Dataset
+from .floattext import DIGITS, decimal_scale, words
 from .rng import SplitMix64
 
 
 #: Cells formatted per block of X_train.txt; the formatter's working
 #: arrays take a few dozen bytes per cell, whatever the layout's size.
 _BLOCK_CELLS = 1 << 16
-#: 10**p for 0 <= p <= 22: the powers of ten a double holds exactly.
-_POW10 = np.array([float(10 ** p) for p in range(23)])
 #: One cell of X_train.txt, its "% .7e" text and the separator after
 #: it, as little-endian words: sign and lead digit, "." and 7 digits,
 #: "e", exponent sign, 2 exponent digits and separator.
@@ -41,20 +41,13 @@ _CELL = np.dtype({"names": ["head", "frac", "e", "tail"],
                   "offsets": [0, 2, 10, 11], "itemsize": 15})
 
 
-def _words(texts, dtype) -> np.ndarray:
-    return np.frombuffer("".join(texts).encode(), dtype=dtype)
-
-
 #: " 0" .. " 9" then "-0" .. "-9", at 10 * sign + lead digit
-_HEADS = _words([f"{c}{d}" for c in " -" for d in range(10)], "<u2")
-#: "00" .. "99"
-_PAIRS = _words([f"{i:02d}" for i in range(100)], "<u2").astype(np.uint64)
-#: "0000" .. "9999", the last 4 of the 7 digits after the point
-_DIGITS = (_PAIRS[:, None] | _PAIRS << np.uint64(16)).ravel()
-#: ".000" .. ".999", the first 3: "0000" .. "0999" with "." for "0"
-_POINTS = _DIGITS[:1000] - ord("0") + ord(".")
+_HEADS = words([f"{c}{d}" for c in " -" for d in range(10)], "<u2")
+#: ".000" .. ".999", the first 3 of the 7 digits after the point:
+#: "0000" .. "0999" with "." for "0"; DIGITS gives the last 4
+_POINTS = DIGITS[:1000] - ord("0") + ord(".")
 #: "-15 " .. "+08 " at exponent + 15
-_TAILS = _words([f"{e:+03d} " for e in range(-15, 9)], "<u4")
+_TAILS = words([f"{e:+03d} " for e in range(-15, 9)], "<u4")
 
 
 def _e7_text(table: np.ndarray) -> bytes:
@@ -66,15 +59,12 @@ def _e7_text(table: np.ndarray) -> bytes:
     a = np.abs(x)
     done = np.isfinite(a) & ~zero
     a[~done] = 1.0
-    # guess the decimal exponent, correct it once, then scale |x| to
-    # 8 digits with one rounding: s is within 2**-53 * s < 1.5e-8 of
-    # the exact product, so rint(s) is printf's rounding unless s's
-    # fraction is that close to .5
-    e = np.floor(np.log10(a)).astype(np.int64)
-    s = a * _POW10.take(7 - e, mode="clip")
-    e += (s >= 1e8).astype(np.int64) - (s < 1e7)
-    done &= (e >= -15) & (e <= 7)
-    s = a * _POW10.take(7 - e, mode="clip")
+    # scale |x| to 8 digits with one rounding: s is within
+    # 2**-53 * s < 1.5e-8 of the exact product, so rint(s) is printf's
+    # rounding unless s's fraction is that close to .5
+    e, scale, exact = decimal_scale(a, 8)
+    done &= exact
+    s = a * scale
     digits = np.rint(s)
     done &= np.abs(s - np.floor(s) - 0.5) > 1e-7
     carry = digits == 1e8
@@ -87,7 +77,7 @@ def _e7_text(table: np.ndarray) -> bytes:
 
     cells = np.empty(n * m, dtype=_CELL)
     cells["head"] = _HEADS[lead + 10 * np.signbit(x)]
-    cells["frac"] = _POINTS[high] | _DIGITS[low] << np.uint64(32)
+    cells["frac"] = _POINTS[high] | DIGITS[low] << np.uint64(32)
     cells["e"] = ord("e")
     cells["tail"] = _TAILS[e + 15]
     text = cells.view(np.uint8).reshape(n, m, _CELL.itemsize)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,27 @@ def test_predict_rejects_non_finite_feature_cells(capsys, tiny_csv, tmp_path,
     assert code == 3
     assert stdout == ""
     assert "non-finite value at row 2, column 5" in stderr
+
+
+def test_features_whose_squares_overflow_are_rejected(capsys, tiny_csv,
+                                                      tmp_path):
+    # a squared distance between such rows overflows, and k-NN would rank
+    # neighbors by index alone; the CSV is refused before any fit, with
+    # no numpy warning
+    header, *rows = Path(tiny_csv).read_text().splitlines()
+    scaled = tmp_path / "scaled.csv"
+    scaled.write_text("\n".join([header, *(
+        ",".join([*(repr(float(v) * 1e160) if float(v) else v
+                    for v in row.split(",")[:-2]), *row.split(",")[-2:]])
+        for row in rows)]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, stderr = run(capsys, [
+            "evaluate", "--from-csv", str(scaled), "--learner", "knn",
+            "--k", "3", "--folds", "3", "--rounds", "2"])
+    assert (code, stdout, caught) == (3, "", [])
+    first = float(rows[0].split(",")[0]) * 1e160
+    assert f"value {first!r} at row 1, column 1 is out of range" in stderr
 
 
 def test_both_dataset_sources_rejected(capsys, data_dir, tiny_csv):

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from harboost.dataset import (
     BODY_ACC_FEATURES,
+    MAX_MAGNITUDE,
     ActivityLabel,
     DataError,
     Dataset,
@@ -61,6 +64,15 @@ def test_dataset_rejects_nonfinite_and_bad_labels():
         Dataset(np.array([[0.0], [np.nan]]), np.array([1, 2]), ("a",))
     with pytest.raises(DataError, match="outside 1..12"):
         Dataset(np.zeros((2, 1)), np.array([1, 13]), ("a",))
+
+
+@pytest.mark.parametrize("value", [1e150, -1e150, 1e300])
+def test_dataset_rejects_magnitudes_whose_squares_overflow(value):
+    with pytest.raises(DataError, match=re.escape(
+            f"value {value!r} at row 2, column 1 is out of range")):
+        Dataset(np.array([[0.0], [value]]), np.array([1, 2]), ("a",))
+    below = np.nextafter(MAX_MAGNITUDE, 0.0)
+    Dataset(np.array([[below], [-below]]), np.array([1, 2]), ("a",))
 
 
 # ---------------------------------------------------------------------------

@@ -126,3 +126,17 @@ def test_one_writer_writes_every_json_document():
                     writers.add(f"{path.name}: {getattr(top, 'name', top.lineno)}")
     assert indented == []
     assert writers == {"reports.py: to_json", "modelfile.py: save_model"}
+
+
+def test_one_formatter_writes_float_text_as_repr():
+    # floattext.repr_rows writes the shortest round-trip text of floats
+    # (the digest, feature CSVs, report numbers, model matrices); a
+    # per-value repr runs only in its fallback, for rows off its array path
+    callers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if any(isinstance(node, ast.Name) and node.id == "repr"
+                   for node in ast.walk(top)):
+                callers.add(f"{path.name}: {getattr(top, 'name', top.lineno)}")
+    assert callers == {"floattext.py: _repr_block"}
