@@ -11,6 +11,7 @@ not open), 3 data-content error, 4 internal error, 130 interrupted.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -72,6 +73,7 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
 
 
+@functools.cache  # one parser per process: it never changes
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="harboost",
@@ -310,9 +312,8 @@ def cmd_predict(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DataError, ModelFormatError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,31 +14,14 @@ from ..numerics import (
     check_array,
     check_per_class,
     check_rows,
+    class_stats,
     gaussian_logpdf,
     silverman_bandwidth,
-    weighted_mean,
 )
 
 # (query x sample x feature) kernel cells a kernel-NB block scores at
 # once; each of its three scratch buffers holds this many float64s
 _BLOCK_CELLS = 1 << 16
-
-
-def _class_partition(ds, w):
-    """Classes with positive weight mass, their priors, and per class its
-    weights and feature rows (the dataset's shared read-only block)."""
-    w = np.asarray(w, dtype=np.float64)
-    total = w.sum()
-    class_ids, priors, groups = [], [], []
-    for label, rows, block in ds.class_blocks:
-        cw = w[rows]
-        mass = cw.sum()
-        if mass <= 0:
-            continue
-        class_ids.append(label)
-        priors.append(mass / total)
-        groups.append((cw, block))
-    return np.array(class_ids, dtype=np.int64), np.array(priors), groups
 
 
 @dataclass(frozen=True)
@@ -64,14 +47,10 @@ class GaussianNbModel(FieldPayload):
 
 
 def fit_gaussian_nb(ds, w) -> GaussianNbModel:
-    class_ids, priors, groups = _class_partition(ds, w)
-    means = np.empty((len(class_ids), ds.n_features))
-    variances = np.empty_like(means)
-    for i, (cw, X) in enumerate(groups):
-        means[i] = weighted_mean(X, cw)
-        var = cw @ (X - means[i]) ** 2 / cw.sum()
-        variances[i] = np.maximum(var, VAR_FLOOR)
-    return GaussianNbModel(class_ids, priors, means, variances)
+    class_ids, priors, stats = class_stats(ds, w)
+    variances = np.array([c.weights @ c.centred ** 2 / c.mass for c in stats])
+    return GaussianNbModel(class_ids, priors, np.array([c.mean for c in stats]),
+                           np.maximum(variances, VAR_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -152,13 +131,9 @@ class KernelNbModel(FieldPayload):
 
 
 def fit_kernel_nb(ds, w) -> KernelNbModel:
-    class_ids, priors, groups = _class_partition(ds, w)
-    samples, sample_weights = [], []
-    bandwidths = np.empty((len(class_ids), ds.n_features))
-    for i, (cw, X) in enumerate(groups):
-        samples.append(X)
-        sample_weights.append(cw / cw.sum())
-        bandwidths[i] = silverman_bandwidth(X, cw)
+    class_ids, priors, stats = class_stats(ds, w)
     return KernelNbModel(
-        class_ids, priors, tuple(samples), tuple(sample_weights), bandwidths
+        class_ids, priors, tuple(c.rows for c in stats),
+        tuple(c.weights / c.mass for c in stats),
+        np.array([silverman_bandwidth(c.rows, c.weights) for c in stats]),
     )

@@ -22,37 +22,26 @@ from ..numerics import (
     check_array,
     check_per_class,
     cholesky_factor,
+    class_stats,
     solve_lower,
     solve_spd,
-    weighted_mean,
 )
-from .bayes import _class_partition
 
 _MASS_FALLBACK = 1e-8
 
 
 def _floored(cov: np.ndarray, ridge: float | None) -> np.ndarray:
-    out = np.array(cov, copy=True)
+    """cov symmetrised, its diagonal ridged and then floored."""
+    out = (cov + cov.T) / 2.0
     r = auto_ridge(out) if ridge is None else ridge
-    out[np.diag_indices_from(out)] += r
     d = np.diag_indices_from(out)
-    out[d] = np.maximum(out[d], VAR_FLOOR)
+    out[d] = np.maximum(out[d] + r, VAR_FLOOR)
     return out
 
 
-def _weighted_class_stats(ds, w, groups):
-    w = np.asarray(w, dtype=np.float64)
-    means = np.empty((len(groups), ds.n_features))
-    masses = np.empty(len(groups))
-    scatters = []
-    for i, (cw, X) in enumerate(groups):
-        masses[i] = cw.sum()
-        means[i] = weighted_mean(X, cw)
-        xc = X - means[i]
-        scatters.append((xc * cw[:, None]).T @ xc)
-    pooled = sum(scatters) / w.sum()
-    pooled = (pooled + pooled.T) / 2.0
-    return means, pooled, masses, scatters
+def _scatter(c) -> np.ndarray:
+    """sum_i w_i (x_i - mu)(x_i - mu)^T over the rows of one class."""
+    return (c.centred * c.weights[:, None]).T @ c.centred
 
 
 @dataclass(frozen=True)
@@ -76,9 +65,9 @@ class LdaModel(FieldPayload):
 
 
 def fit_lda(ds, w, ridge: float | None = None) -> LdaModel:
-    class_ids, priors, groups = _class_partition(ds, w)
-    means, pooled, _, _ = _weighted_class_stats(ds, w, groups)
-    cov = _floored(pooled, ridge)
+    class_ids, priors, stats = class_stats(ds, w)
+    means = np.array([c.mean for c in stats])
+    cov = _floored(sum(map(_scatter, stats)) / np.sum(w), ridge)
     coef = solve_spd(cov, means.T)
     intercept = -0.5 * np.einsum("cd,dc->c", means, coef) + np.log(priors)
     return LdaModel(class_ids, priors, coef, intercept)
@@ -117,19 +106,15 @@ class QdaModel(FieldPayload):
 
 
 def fit_qda(ds, w, ridge: float | None = None) -> QdaModel:
-    class_ids, priors, groups = _class_partition(ds, w)
-    w = np.asarray(w, dtype=np.float64)
-    means, pooled, masses, scatters = _weighted_class_stats(ds, w, groups)
-    pooled_cov = _floored(pooled, ridge)
-    total = w.sum()
-    factors, log_dets = [], np.empty(len(groups))
-    for i, scatter in enumerate(scatters):
-        if masses[i] < _MASS_FALLBACK * total:
-            cov = pooled_cov
-        else:
-            cov = scatter / masses[i]
-            cov = _floored((cov + cov.T) / 2.0, ridge)
-        L = cholesky_factor(cov)
-        factors.append(L)
-        log_dets[i] = 2.0 * np.log(np.diag(L)).sum()
-    return QdaModel(class_ids, priors, means, tuple(factors), log_dets)
+    class_ids, priors, stats = class_stats(ds, w)
+    scatters = [_scatter(c) for c in stats]
+    total = np.sum(w)
+    pooled = _floored(sum(scatters) / total, ridge)
+    factors = tuple(
+        cholesky_factor(pooled if c.mass < _MASS_FALLBACK * total
+                        else _floored(scatter / c.mass, ridge))
+        for c, scatter in zip(stats, scatters)
+    )
+    log_dets = np.array([2.0 * np.log(np.diag(L)).sum() for L in factors])
+    return QdaModel(class_ids, priors, np.array([c.mean for c in stats]),
+                    factors, log_dets)

@@ -1,9 +1,12 @@
-"""Weighted statistics, small dense SPD linear algebra, array checks and
-the field payload codec for the learners."""
+"""Weighted statistics (class_stats: each class's prior, weight mass, mean
+and centred rows, for naive Bayes, kernel NB, LDA and QDA), small dense
+SPD linear algebra, array checks and the field payload codec for the
+learners."""
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import fields
 from typing import ClassVar
 
@@ -125,13 +128,34 @@ def weighted_covariance(xs, w, ridge: float = 0.0) -> np.ndarray:
     w = check_weights(w, xs.shape[0])
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
+    xc = xs - weighted_mean(xs, w)
+    cov = (xc * w[:, None]).T @ xc / w.sum()
+    return (cov + cov.T) / 2.0 + ridge * np.eye(len(cov))
+
+
+#: One class's weights, its rows (the dataset's shared read-only block),
+#: its weight mass, its weighted mean (weights @ rows) / mass and its
+#: rows centred on that mean.
+ClassStats = namedtuple("ClassStats", "weights rows mass mean centred")
+
+
+def class_stats(ds, w):
+    """(class ids, priors, ClassStats of each class) for the classes of
+    ds with positive weight mass under w, in ascending id order; a
+    class's prior is its mass over the total weight."""
+    w = np.asarray(w, dtype=np.float64)
     total = w.sum()
-    xc = xs - (w @ xs) / total
-    cov = (xc * w[:, None]).T @ xc / total
-    cov = (cov + cov.T) / 2.0
-    if ridge:
-        cov = cov + ridge * np.eye(cov.shape[0])
-    return cov
+    class_ids, priors, stats = [], [], []
+    for label, rows, X in ds.class_blocks:
+        cw = w[rows]
+        mass = cw.sum()
+        if mass <= 0:
+            continue
+        mean = (cw @ X) / mass
+        class_ids.append(label)
+        priors.append(mass / total)
+        stats.append(ClassStats(cw, X, mass, mean, X - mean))
+    return np.array(class_ids, dtype=np.int64), np.array(priors), stats
 
 
 def auto_ridge(a: np.ndarray) -> float:

@@ -32,6 +32,17 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def test_one_parser_serves_every_call():
+    # main parses with one parser per process, so a parse leaves nothing
+    # behind for the next: each call gets its own values and defaults
+    assert cli.build_parser() is cli.build_parser()
+    a = cli.build_parser().parse_args(["evaluate", "--rounds", "3",
+                                       "--learner", "lda"])
+    b = cli.build_parser().parse_args(["evaluate"])
+    assert (a.rounds, a.learner, a.func) == (3, "lda", cli.cmd_evaluate)
+    assert (b.rounds, b.learner, b.folds) == (10, "knn", 10)
+
+
 # ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------

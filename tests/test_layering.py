@@ -4,7 +4,8 @@ the top-level exports are the public names `harboost` imports.
 Boosting, evaluation, model files, reports and the CLI reach a family
 through the `learners` package (its family table, fit and payload
 dispatch), never by importing a family module, so adding or changing a
-family touches `learners/` alone.
+family touches `learners/` alone. Nor does one family module import
+another.
 """
 
 import ast
@@ -51,6 +52,19 @@ def test_no_module_outside_learners_imports_a_family():
             if parts[0] == "learners" and len(parts) > 1 \
                     and parts[1] in FAMILY_MODULES:
                 offenders.append(f"{path.name}: {name}")
+    assert offenders == []
+
+
+def test_no_family_module_imports_another_family():
+    # what families share (class statistics, linear algebra, payloads)
+    # lives in numerics, so no family reaches into another's internals
+    offenders = []
+    for name in sorted(FAMILY_MODULES):
+        tree = ast.parse((PACKAGE / "learners" / f"{name}.py").read_text())
+        for imported in imported_modules(tree):
+            other = imported.removeprefix("learners.").split(".")[0]
+            if other in FAMILY_MODULES - {name}:
+                offenders.append(f"{name}.py: {imported}")
     assert offenders == []
 
 

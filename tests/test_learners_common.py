@@ -92,6 +92,24 @@ def test_empty_or_zero_weights_rejected(family, train):
         spec.fit_weighted(ds, np.ones(ds.n_rows - 1))
 
 
+CLASS_CONDITIONAL = [Family.NAIVE_BAYES, Family.KERNEL_NAIVE_BAYES,
+                     Family.LDA, Family.QDA]
+
+
+@pytest.mark.parametrize("family", CLASS_CONDITIONAL)
+def test_zero_mass_class_is_dropped(family, train, queries):
+    # a class whose rows all carry weight 0 has no prior and no statistics,
+    # so the model neither stores nor predicts it, even on its own rows
+    ds, w = train
+    w = np.where(ds.labels == 2, 0.0, w)
+    m = small_spec(family).fit_weighted(ds, w)
+    assert m.class_ids.tolist() == [1, 3, 4]
+    assert m.priors.shape == (3,) and (m.priors > 0).all()
+    assert np.isclose(m.priors.sum(), 1.0)
+    both = np.concatenate([queries, ds.features[ds.labels == 2]])
+    assert 2 not in m.predict_batch(both).tolist()
+
+
 def test_spec_validation_collects_problems():
     spec = LearnerSpec(Family.KNN, k=0, bins=1, trees=0)
     with pytest.raises(ValueError) as err:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -519,3 +520,33 @@ def test_well_formed_stub_tree_loads(tmp_path):
     model = load_model(path).ensemble.rounds[0].model
     queries = np.array([[0.0, -0.9], [0.0, 0.0], [0.0, 0.5], [0.0, 0.9]])
     assert model.predict_batch(queries).tolist() == [1, 2, 2, 3]
+
+
+#: HAPT Train class proportions scaled to 600 rows, each class floored
+#: at 5 rows.
+HAPT_600 = (94, 82, 76, 99, 109, 109, 5, 5, 5, 5, 6, 5)
+
+#: SHA-256 of the model file of a boosted fit of each class-conditional
+#: family: any change to its statistics, even in the last bit of one
+#: mean, changes the file.
+GOLDEN_MODEL_FILES = {
+    Family.NAIVE_BAYES:
+        "5034cc7b7e05e5d0fef3a80787eb5adb74738abd4d75259894e4121567f4ae73",
+    Family.KERNEL_NAIVE_BAYES:
+        "d3cd7d54c22ca854b70ae25ff49256af8508f6213c41721aa74fb6900e3138ba",
+    Family.LDA:
+        "07de34abcf666dbf386f103a7104430e3735232de0777a5ab13fea0ec413b018",
+    Family.QDA:
+        "6c19acd7bb12759490e4cc32444bbf83f5c14992105920e5416d0d4e6590296f",
+}
+
+
+@pytest.mark.parametrize("family", list(GOLDEN_MODEL_FILES))
+def test_class_conditional_model_files_are_pinned(tmp_path, family):
+    ds = make_activity_dataset(600, seed=24, spread=0.5, class_counts=HAPT_600)
+    ens = boost_fit(LearnerSpec(family), ds, rounds=5, seed=7)
+    assert len(ens.rounds) == 5
+    path = tmp_path / "m.json"
+    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_MODEL_FILES[family]
