@@ -15,7 +15,10 @@ treated as hard errors, never repaired, and any feature matrix, a
 CSV's too, must hold magnitudes below MAX_MAGNITUDE. Every number in
 these files and in a CSV is parsed by one np.loadtxt call (_table):
 ASCII decimals with no `_` separators, and integers within int64.
-Files must be UTF-8; blank and whitespace-only lines are skipped.
+Files must be UTF-8; blank and whitespace-only lines are skipped. A
+matrix file wholly in the fixed-width "% .7e" layout that
+write_hapt_layout writes is read by e7text.read_e7 instead, to the
+same bits; any other file, and every error, is loadtxt's.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .floattext import repr_rows
+from .floattext import kept_rows, repr_rows, row_texts
 from .rng import SplitMix64
 
 
@@ -200,8 +203,10 @@ def dataset_digest(ds: Dataset) -> str:
     h.update(b"harboost-dataset-v1\n")
     h.update(f"{ds.n_rows} {ds.n_features}\n".encode())
     h.update((",".join(ds.feature_names) + "\n").encode())
-    # repr of a float is the shortest decimal that round-trips to it
-    for text, lab in zip(repr_rows(ds.features, " "), ds.labels.tolist()):
+    # repr of a float is the shortest decimal that round-trips to it; the
+    # rows' text is streamed unless a writer of this dataset has kept it
+    rows = kept_rows(ds.features) or repr_rows(ds.features, " ")
+    for text, lab in zip(rows, ds.labels.tolist()):
         h.update(f"{text} {lab}\n".encode())
     return h.hexdigest()
 
@@ -233,8 +238,16 @@ def _table(path: Path, dtype, sep=None, skip: int = 0, form=None):
     """The lines of path after skip, parsed by one np.loadtxt call: a
     matrix for a plain dtype, a record per line for a structured one. If
     it fails, the first line and cell that loadtxt rejects alone is named
-    (with the line form `form` expected, if given)."""
+    (with the line form `form` expected, if given). A float64 matrix of
+    whitespace-separated cells is first tried as read_e7's layout."""
     dtype = np.dtype(dtype)
+    if dtype == np.float64 and sep is None and not skip:
+        # imported on first use, by the commands that read X_train.txt
+        from .e7text import read_e7
+
+        table = read_e7(path)
+        if table is not None:
+            return table
     rows = _lines(path, skip)
     first = next(rows, None)
     if first is None:
@@ -431,8 +444,9 @@ def save_csv(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join([*ds.feature_names, "activity_id", "activity_name"]))
         fh.write("\n")
-        fh.writelines(f"{text},{lab},{ACTIVITY_NAMES[lab]}\n" for text, lab
-                      in zip(repr_rows(ds.features, ","), ds.labels.tolist()))
+        fh.writelines(f"{text.replace(' ', ',')},{lab},{ACTIVITY_NAMES[lab]}\n"
+                      for text, lab in zip(row_texts(ds.features),
+                                           ds.labels.tolist()))
 
 
 def _read_csv(path, require_labels: bool):

@@ -1,0 +1,148 @@
+"""The fixed-width "% .7e" text of X_train.txt: its cell, and its reader.
+
+synthetic writes X_train.txt one E7_CELL per value; read_e7 reads a file
+of that layout back. A cell's 8 digits are read as one 64-bit word
+(Lemire's eight-digit step) into an integer D < 10**8, and its value
+D * 10**(k-7) is taken by one division or multiplication by an exactly
+representable power of ten when |k - 7| <= 22. That operation is
+correctly rounded, as in Clinger's fast path, so the value equals what
+np.loadtxt reads, on any CPU and with any BLAS. A cell outside that
+range is read by float() of its own text. A file that strays from the
+layout anywhere is left to the caller's general parser.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+
+from .floattext import POW10
+
+
+#: One cell of X_train.txt, its "% .7e" text and the separator after
+#: it, as little-endian words: sign and lead digit, "." and 7 digits,
+#: "e", exponent sign, 2 exponent digits and separator.
+E7_CELL = np.dtype({"names": ["head", "frac", "e", "tail"],
+                    "formats": ["<u2", "<u8", "u1", "<u4"],
+                    "offsets": [0, 2, 10, 11], "itemsize": 15})
+#: The bytes read_e7 accepts in a cell: "0" is a digit, "s" a sign that
+#: the sign tables read, and any other character is itself; the last
+#: cell of a line ends in "\n" instead of a space.
+_FORM = np.frombuffer(b"s0.0000000es00 ", np.uint8)
+#: Per byte of a cell, the lowest byte that fits its place and how many
+#: bytes above it fit too: b fits if (b - low) mod 256 <= span.
+_LOW = np.where(_FORM == ord("0"), ord("0"),
+                np.where(_FORM == ord("s"), 0, _FORM)).astype(np.uint8)
+_SPAN = np.where(_FORM == ord("0"), 9,
+                 np.where(_FORM == ord("s"), 255, 0)).astype(np.uint8)
+#: Bytes of whole lines read_e7 checks and converts at a time (at least
+#: one line); with its working arrays a block takes about 0.6 MB, all
+#: allocated once per file.
+_READ_BLOCK_BYTES = 1 << 17
+#: Each byte's sign before the digits, and in the exponent; 0 for none.
+_MANTISSA_SIGNS = np.zeros(256)
+_MANTISSA_SIGNS[[ord(" "), ord("-")]] = 1.0, -1.0
+_EXPONENT_SIGNS = np.zeros(256, np.intp)
+_EXPONENT_SIGNS[[ord("+"), ord("-")]] = 1, -1
+#: At exponent k + 99, for -99 <= k <= 99: D * 10**(k-7) is D divided
+#: by _DIVISORS and then times _MULTIPLIERS, one of them 1 and the
+#: other an exact power; both are 1 where |k - 7| > 22.
+_SCALES = np.arange(-99, 100) - 7
+_DIVISORS = np.where(_SCALES >= -22, POW10.take(-_SCALES, mode="clip"), 1.0)
+_MULTIPLIERS = np.where(_SCALES <= 22, POW10.take(_SCALES, mode="clip"), 1.0)
+#: The first and last k + 99 of those exact powers: -15 <= k <= 29
+_EXACT_K = (-15 + 99, 29 + 99)
+#: Lemire's eight-digit step: byte pairs, then pairs of pairs
+_PAIR_MASK = 0x0000_00FF_0000_00FF
+_HIGH_PAIRS = 100 + (1_000_000 << 32)
+_LOW_PAIRS = 1 + (10_000 << 32)
+
+
+def read_e7(path) -> np.ndarray | None:
+    """The (lines, cells) float64 matrix of a text file of "% .7e" cells,
+    equal bit for bit to np.loadtxt's; None unless every line holds line
+    1's number of cells and every byte fits _FORM."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        width = len(fh.readline())
+        if not width or width % E7_CELL.itemsize or size % width:
+            return None
+        n, m = size // width, width // E7_CELL.itemsize
+        out = np.empty((n, m))
+        low, span = np.tile(_LOW, m), np.tile(_SPAN, m)
+        low[-1] = ord("\n")
+        rows = max(1, _READ_BLOCK_BYTES // width)
+        text = np.empty((rows, width), np.uint8)
+        offset = np.empty_like(text)
+        stray = np.empty(text.shape, bool)
+        work = _Work(rows * m)
+        fh.seek(0)
+        for start in range(0, n, rows):
+            r = min(rows, n - start)
+            if fh.readinto(text[:r]) != r * width:
+                return None  # the file shrank
+            np.subtract(text[:r], low, out=offset[:r])
+            if np.greater(offset[:r], span, out=stray[:r]).any():
+                return None
+            cells = text[:r].reshape(r * m, E7_CELL.itemsize)
+            if not work.values(cells, out[start:start + r].reshape(-1)):
+                return None
+        if fh.read(1):
+            return None  # the file grew
+    return out
+
+
+class _Work:
+    """The working arrays of a block of up to n cells, reused by every
+    block of a file."""
+
+    def __init__(self, n: int):
+        self.signs, self.scale = np.empty(n), np.empty(n)
+        self.k = np.empty(n, np.intp)
+        self.e, self.e2 = np.empty(n, np.uint16), np.empty(n, np.uint16)
+        self.d, self.t = np.empty(n, np.uint64), np.empty(n, np.uint64)
+
+    def values(self, cells: np.ndarray, out: np.ndarray) -> bool:
+        """Write the values of cells, an (n, 15) byte array of cells that
+        fit _FORM, to out; False if a sign byte is no sign."""
+        n = len(cells)
+        signs, scale, k = self.signs[:n], self.scale[:n], self.k[:n]
+        e, e2, d, t = self.e[:n], self.e2[:n], self.d[:n], self.t[:n]
+        _MANTISSA_SIGNS.take(cells[:, 0], out=signs)
+        _EXPONENT_SIGNS.take(cells[:, 11], out=k)
+        if not (signs.all() and k.all()):
+            return False
+        # k: the 2 exponent digits, read as one little-endian word (a
+        # digit's low 4 bits are its value), times the sign, plus 99
+        np.bitwise_and(cells[:, 12:14].view("<u2")[:, 0], 0x0F0F, out=e)
+        np.right_shift(e, 8, out=e2)
+        e &= 0x0F
+        e *= 10
+        e += e2
+        k *= e
+        k += 99
+        # D: the lead digit takes the place of the ".", then the word's 8
+        # ASCII digits are summed pairwise by Lemire's eight-digit step
+        np.add(cells.view(E7_CELL)[:, 0]["frac"], cells[:, 1], out=d)
+        d -= 0x3030_3030_3030_302E + ord("0")
+        np.right_shift(d, 8, out=t)
+        d *= 10
+        d += t
+        np.right_shift(d, 16, out=t)
+        t &= _PAIR_MASK
+        t *= _LOW_PAIRS
+        d &= _PAIR_MASK
+        d *= _HIGH_PAIRS
+        d += t
+        d >>= 32
+        _DIVISORS.take(k, out=scale)
+        np.divide(d, scale, out=out)
+        _MULTIPLIERS.take(k, out=scale)
+        out *= scale
+        out *= signs
+        if k.min() < _EXACT_K[0] or k.max() > _EXACT_K[1]:
+            far = (k < _EXACT_K[0]) | (k > _EXACT_K[1])
+            for i in np.flatnonzero(far).tolist():
+                out[i] = float(cells[i, :-1].tobytes())
+        return True

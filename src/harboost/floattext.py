@@ -17,20 +17,26 @@ any other cell (one of 16 or 17 digits, one out of that range, or a
 non-finite one) is written by repr itself.
 
 The tables and the exponent step are shared with synthetic's "% .7e"
-writer of X_train.txt, which scales to 8 digits the same way.
+writer of X_train.txt, which scales to 8 digits the same way, and the
+powers of ten with e7text's reader of it.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 
 import numpy as np
 
 #: 10**p for 0 <= p <= 22: the powers of ten a double holds exactly.
-_POW10 = np.array([float(10 ** p) for p in range(23)])
+POW10 = np.array([float(10 ** p) for p in range(23)])
 #: Cells formatted per block of repr_rows: its working arrays take about
 #: 250 bytes a cell, and a block of them stays within half a megabyte.
 _BLOCK_CELLS = 1 << 11
+#: (weak reference to the read-only table row_texts last formatted, its
+#: rows), or _NO_ROWS
+_NO_ROWS = (lambda: None, [])
+_last_rows = _NO_ROWS
 
 
 def words(texts, dtype) -> np.ndarray:
@@ -49,12 +55,12 @@ def decimal_scale(a: np.ndarray, n: int):
     decimal exponent, from floor(log10(a)) corrected once, so that
     a * scale, scale = 10**(n-1-e), lies in [10**(n-1), 10**n) up to
     its rounding; exact marks the values whose power of ten is one of
-    _POW10's (elsewhere scale is clipped to that range)."""
+    POW10's (elsewhere scale is clipped to that range)."""
     e = np.floor(np.log10(a)).astype(np.int64)
-    s = a * _POW10.take(n - 1 - e, mode="clip")
+    s = a * POW10.take(n - 1 - e, mode="clip")
     e += (s >= 10.0 ** n).astype(np.int64) - (s < 10.0 ** (n - 1))
     p = n - 1 - e
-    return e, _POW10.take(p, mode="clip"), (p >= 0) & (p < _POW10.size)
+    return e, POW10.take(p, mode="clip"), (p >= 0) & (p < POW10.size)
 
 
 def _significant_digits() -> np.ndarray:
@@ -115,6 +121,33 @@ def repr_rows(table: np.ndarray, sep: str):
     block = max(1, _BLOCK_CELLS // max(m, 1))
     for start in range(0, n, block):
         yield from _repr_block(table[start:start + block], sep)
+
+
+def row_texts(table: np.ndarray) -> list[str]:
+    """list(repr_rows(table, " ")). No repr text holds a space, so the
+    rows with another separator are text.replace(" ", sep). The list of
+    the last read-only table is kept while that table lives, so that the
+    writers of one dataset's text (its CSV, its digest, a model's stored
+    rows) format it once."""
+    global _last_rows
+    texts = kept_rows(table)
+    if texts is None:
+        texts = list(repr_rows(table, " "))
+        if not table.flags.writeable:
+            _last_rows = weakref.ref(table, _forget_rows), texts
+    return texts
+
+
+def kept_rows(table: np.ndarray) -> list[str] | None:
+    """The list row_texts keeps for table, or None."""
+    ref, texts = _last_rows
+    return texts if ref() is table and not table.flags.writeable else None
+
+
+def _forget_rows(ref) -> None:
+    global _last_rows
+    if _last_rows[0] is ref:
+        _last_rows = _NO_ROWS
 
 
 def _digits(x: np.ndarray):

@@ -5,10 +5,11 @@ byte for byte. With an indent, json.dumps encodes every value in
 Python; here dicts and nested lists are walked in Python, and each
 list of scalars (a model's vote weights, a confusion matrix's counts)
 is one call of the C encoder whose item separator carries the newline
-and indent. A list of equal-length lists of finite floats (k-NN's
-stored rows, kernel naive Bayes's samples) is one float64 matrix,
-whose rows floattext.repr_rows writes as the encoder's float.__repr__
-would.
+and indent. A list of equal-length lists of finite floats (kernel
+naive Bayes's samples) is one float64 matrix, whose rows
+floattext.row_texts writes as the encoder's float.__repr__ would. A
+numpy array is written as its nested lists, a finite float64 matrix
+(k-NN's stored rows) by row_texts too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .floattext import repr_rows
+from .floattext import row_texts
 
 #: Types whose values the C encoder writes as json.dumps writes them.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -60,11 +61,7 @@ def _write(value, newline: str, out: list[str]) -> None:
             out.append("[" + inner + _scalar_list(inner)(value)[1:-1]
                        + newline + "]")
         elif (table := _float_table(value)) is not None:
-            # the rows as the branch below writes them, one join for all
-            cell = inner + "  "
-            rows = f"{inner}],{inner}[{cell}".join(
-                repr_rows(table, "," + cell))
-            out.append(f"[{inner}[{cell}{rows}{inner}]{newline}]")
+            _write_table(table, newline, out)
         else:
             sep = "[" + inner
             for item in value:
@@ -72,8 +69,23 @@ def _write(value, newline: str, out: list[str]) -> None:
                 _write(item, inner, out)
                 sep = "," + inner
             out.append(newline + "]")
+    elif isinstance(value, np.ndarray):
+        if (value.dtype == np.float64 and value.ndim == 2 and value.size
+                and np.isfinite(value).all()):
+            _write_table(value, newline, out)
+        else:
+            _write(value.tolist(), newline, out)
     else:
         out.append(_scalar(value))
+
+
+def _write_table(table: np.ndarray, newline: str, out: list[str]) -> None:
+    """The rows of a float64 matrix as the list branch writes them."""
+    inner = newline + "  "
+    cell = inner + "  "
+    rows = f"{inner}],{inner}[{cell}".join(
+        [text.replace(" ", "," + cell) for text in row_texts(table)])
+    out.append(f"[{inner}[{cell}{rows}{inner}]{newline}]")
 
 
 def _float_table(rows) -> np.ndarray | None:

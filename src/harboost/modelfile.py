@@ -73,8 +73,7 @@ def save_model(path, ensemble: BoostedEnsemble, feature_names,
         "rounds_requested": ensemble.rounds_requested,
         "seed": ensemble.seed,
         "rounds": rounds,
-        "shared_knn_rows": (None if shared_rows is None
-                            else shared_rows.tolist()),
+        "shared_knn_rows": shared_rows,  # written as its nested lists
         "feature_names": list(feature_names),
         "metadata": {
             "n_rows": int(n_rows),

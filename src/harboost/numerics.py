@@ -112,27 +112,6 @@ def check_per_class(name: str, arrays, num_classes: int) -> None:
         raise ValueError(f"{len(arrays)} {name} for {num_classes} class_ids")
 
 
-def weighted_mean(xs, w) -> np.ndarray:
-    """Weighted row mean: sum_i w_i x_i / sum_i w_i."""
-    xs = np.asarray(xs, dtype=np.float64)
-    w = check_weights(w, xs.shape[0])
-    return (w @ xs) / w.sum()
-
-
-def weighted_covariance(xs, w, ridge: float = 0.0) -> np.ndarray:
-    """Weighted covariance sum_i w_i (x_i - mu)(x_i - mu)^T / sum w + ridge*I.
-
-    The result is exactly symmetric (upper and lower triangles mirrored).
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    w = check_weights(w, xs.shape[0])
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
-    xc = xs - weighted_mean(xs, w)
-    cov = (xc * w[:, None]).T @ xc / w.sum()
-    return (cov + cov.T) / 2.0 + ridge * np.eye(len(cov))
-
-
 #: One class's weights, its rows (the dataset's shared read-only block),
 #: its weight mass, its weighted mean (weights @ rows) / mass and its
 #: rows centred on that mean.
@@ -237,11 +216,12 @@ def silverman_bandwidth(xs, w) -> np.ndarray:
 
     N_eff = (sum w)^2 / sum(w^2) is the effective sample size and sigma_w
     the weighted standard deviation of a column of the (n, d) sample
-    matrix xs. Returns one bandwidth per column, each floored at
+    matrix xs, under n weights w that the caller has checked (a class's
+    of class_stats). Returns one bandwidth per column, each floored at
     BANDWIDTH_FLOOR.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    w = check_weights(w, xs.shape[0])
+    w = np.asarray(w, dtype=np.float64)
     total = w.sum()
     n_eff = total * total / (w @ w)
     h = np.empty(xs.shape[1])

@@ -17,6 +17,7 @@ the correctly rounded result unless the scaled value sits within
 rounding error of a tie. A row holding such a value, one outside the
 exact powers (|x| < 1e-15 or >= 1e8) or a non-finite one takes the
 scalar "% .7e" format whole, so every byte equals that format's.
+e7text.read_e7 reads the layout back.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import BODY_ACC_FEATURES, ActivityLabel, Dataset
+from .e7text import E7_CELL
 from .floattext import DIGITS, decimal_scale, words
 from .rng import SplitMix64
 
@@ -33,12 +35,6 @@ from .rng import SplitMix64
 #: Cells formatted per block of X_train.txt; the formatter's working
 #: arrays take a few dozen bytes per cell, whatever the layout's size.
 _BLOCK_CELLS = 1 << 16
-#: One cell of X_train.txt, its "% .7e" text and the separator after
-#: it, as little-endian words: sign and lead digit, "." and 7 digits,
-#: "e", exponent sign, 2 exponent digits and separator.
-_CELL = np.dtype({"names": ["head", "frac", "e", "tail"],
-                  "formats": ["<u2", "<u8", "u1", "<u4"],
-                  "offsets": [0, 2, 10, 11], "itemsize": 15})
 
 
 #: " 0" .. " 9" then "-0" .. "-9", at 10 * sign + lead digit
@@ -75,17 +71,17 @@ def _e7_text(table: np.ndarray) -> bytes:
     lead, rest = np.divmod(digits.astype(np.int64), 10_000_000)
     high, low = np.divmod(rest, 10_000)
 
-    cells = np.empty(n * m, dtype=_CELL)
+    cells = np.empty(n * m, dtype=E7_CELL)
     cells["head"] = _HEADS[lead + 10 * np.signbit(x)]
     cells["frac"] = _POINTS[high] | DIGITS[low] << np.uint64(32)
     cells["e"] = ord("e")
     cells["tail"] = _TAILS[e + 15]
-    text = cells.view(np.uint8).reshape(n, m, _CELL.itemsize)
+    text = cells.view(np.uint8).reshape(n, m, E7_CELL.itemsize)
     text[:, -1, -1] = ord("\n")
 
     # a row with any other cell (near a tie, out of the exact range or
     # not finite) is formatted whole by the scalar format
-    rows = text.reshape(n, m * _CELL.itemsize)
+    rows = text.reshape(n, m * E7_CELL.itemsize)
     odd = np.flatnonzero(~(done | zero).reshape(n, m).all(axis=1)).tolist()
     if not odd:
         return rows.tobytes()

@@ -32,7 +32,7 @@ from harboost.evaluation import (
 )
 from harboost.learners import ConstantLearner, Family, LearnerSpec
 from harboost.modelfile import load_model, save_model
-from harboost.numerics import solve_spd, weighted_covariance, weighted_mean
+from harboost.numerics import class_stats, solve_spd
 from harboost.rng import SplitMix64
 from harboost.synthetic import make_activity_dataset
 
@@ -277,7 +277,9 @@ def test_criterion_5_numerics_oracles():
     w = g.uniform(0.05, 1.0, 40)
     total = sum(w.tolist())
     mean = [sum(w[i] * xs[i, j] for i in range(40)) / total for j in range(3)]
-    assert np.abs(weighted_mean(xs, w) - np.array(mean)).max() <= 1e-8
+    one_class = Dataset(xs, np.ones(40, dtype=np.int64), ("a", "b", "c"))
+    _, _, (stats,) = class_stats(one_class, w)
+    assert np.abs(stats.mean - np.array(mean)).max() <= 1e-8
     cov = np.zeros((3, 3))
     for a in range(3):
         for b in range(3):
@@ -285,7 +287,8 @@ def test_criterion_5_numerics_oracles():
                 w[i] * (xs[i, a] - mean[a]) * (xs[i, b] - mean[b])
                 for i in range(40)
             ) / total
-    assert np.abs(weighted_covariance(xs, w) - cov).max() <= 1e-8
+    scatter = (stats.centred * stats.weights[:, None]).T @ stats.centred
+    assert np.abs(scatter / stats.mass - cov).max() <= 1e-8
     m = g.normal(size=(5, 5))
     spd = m @ m.T + np.eye(5)
     rhs = g.normal(size=(5, 3))
@@ -293,7 +296,8 @@ def test_criterion_5_numerics_oracles():
     assert np.abs(spd @ x - rhs).max() <= 1e-8 * np.abs(rhs).max()
     assert np.abs(x - np.linalg.solve(spd, rhs)).max() <= 1e-8
     report("criterion 5 (numerics)",
-           "weighted mean/covariance/SPD solve match direct formulas at 1e-8")
+           "class_stats mean/covariance and SPD solve match direct "
+           "formulas at 1e-8")
 
 
 # ---------------------------------------------------------------------------

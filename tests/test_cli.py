@@ -60,6 +60,36 @@ def test_ingest_writes_csv_and_summary(capsys, data_dir, tmp_path):
     assert ds.n_features == 15
 
 
+def test_each_command_formats_its_matrix_once(capsys, data_dir, tmp_path,
+                                              monkeypatch):
+    # ingest's CSV and digest, and train's digest and k-NN model rows,
+    # are one read-only matrix's text, formatted once; a digest alone
+    # keeps no text
+    from harboost import dataset, floattext
+
+    shapes = []
+    repr_rows = floattext.repr_rows
+
+    def counted(table, sep):
+        shapes.append(table.shape)
+        return repr_rows(table, sep)
+
+    monkeypatch.setattr(floattext, "repr_rows", counted)
+    monkeypatch.setattr(dataset, "repr_rows", counted)
+    csv = tmp_path / "o.csv"
+    assert run(capsys, ["ingest", "--data-dir", data_dir,
+                        "--out", str(csv)])[0] == 0
+    assert shapes == [(96, 15)]
+    assert run(capsys, ["train", "--from-csv", str(csv), "--learner", "knn",
+                        "--k", "3", "--rounds", "2",
+                        "--model-out", str(tmp_path / "m.json")])[0] == 0
+    assert shapes == [(96, 15)] * 2
+    ds = load_csv(csv)
+    dataset.dataset_digest(ds)
+    assert floattext.kept_rows(ds.features) is None
+    assert shapes == [(96, 15)] * 3
+
+
 def test_ingest_from_csv_same_digest(capsys, tiny_csv, tmp_path):
     out2 = tmp_path / "again.csv"
     code1, stdout1, _ = run(capsys, ["ingest", "--from-csv", tiny_csv,

@@ -68,3 +68,17 @@ def test_canonical_json_refuses_what_json_dumps_refuses(doc):
     with pytest.raises(TypeError) as got:
         canonical_json(doc)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("array", [
+    [[0.5, 1e-05], [1e16, -0.0]], [[0.1]], [[math.nan, 1.0]],
+    [[math.inf, 1.0], [2.0, 3.0]], [], [[], []], [1.0, 2.0], [[1, 2]],
+], ids=repr)
+@pytest.mark.parametrize("writeable", [True, False])
+def test_numpy_array_is_written_as_its_lists(array, writeable):
+    import numpy as np
+
+    a = np.array(array)
+    a.flags.writeable = writeable
+    for _ in range(2):  # the second write of a read-only matrix reuses text
+        assert canonical_json({"rows": a}) == dumps({"rows": a.tolist()})

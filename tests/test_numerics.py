@@ -3,71 +3,85 @@ import math
 import numpy as np
 import pytest
 
+from harboost.dataset import Dataset
+from harboost.learners.discriminant import _floored, _scatter
 from harboost.numerics import (
     BANDWIDTH_FLOOR,
     SingularMatrixError,
     auto_ridge,
+    check_weights,
     cholesky_factor,
+    class_stats,
     gaussian_logpdf,
     silverman_bandwidth,
     solve_spd,
-    weighted_covariance,
-    weighted_mean,
 )
+
+
+def one_class(xs, w):
+    """(weighted mean, weighted covariance) of the rows xs as the one
+    class of a dataset, from class_stats and the discriminant scatter."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ds = Dataset(xs, np.ones(len(xs), dtype=np.int64),
+                 tuple(f"f{j}" for j in range(xs.shape[1])))
+    _, priors, (c,) = class_stats(ds, w)
+    assert priors.tolist() == [1.0]
+    return c.mean, _scatter(c) / c.mass
 
 
 def test_weighted_mean_uniform_symmetry():
     xs = np.array([[0.0, 0.0], [2.0, 2.0]])
-    np.testing.assert_allclose(weighted_mean(xs, [1.0, 1.0]), [1.0, 1.0])
+    np.testing.assert_allclose(one_class(xs, [1.0, 1.0])[0], [1.0, 1.0])
 
 
 def test_weighted_mean_degenerate_weight():
     xs = np.array([[5.0], [9.0]])
-    np.testing.assert_allclose(weighted_mean(xs, [1.0, 0.0]), [5.0])
+    np.testing.assert_allclose(one_class(xs, [1.0, 0.0])[0], [5.0])
 
 
 def test_weighted_mean_hand_value():
     # (1*0 + 3*4) / 4 = 3
     xs = np.array([[0.0], [4.0]])
-    np.testing.assert_allclose(weighted_mean(xs, [1.0, 3.0]), [3.0])
+    np.testing.assert_allclose(one_class(xs, [1.0, 3.0])[0], [3.0])
 
 
-def test_weighted_mean_errors():
+def test_check_weights_errors():
     with pytest.raises(ValueError, match="shape"):
-        weighted_mean(np.zeros((3, 1)), [1.0, 1.0])
+        check_weights([1.0, 1.0], 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        check_weights([1.0, -1.0], 2)
     with pytest.raises(ValueError, match="positive"):
-        weighted_mean(np.zeros((2, 1)), [0.0, 0.0])
+        check_weights([0.0, 0.0], 2)
 
 
 def test_weighted_covariance_single_row_zero():
-    cov = weighted_covariance(np.array([[1.0, 2.0]]), [1.0])
+    _, cov = one_class(np.array([[1.0, 2.0]]), [1.0])
     np.testing.assert_array_equal(cov, np.zeros((2, 2)))
 
 
 def test_weighted_covariance_two_points():
-    cov = weighted_covariance(np.array([[-1.0], [1.0]]), [1.0, 1.0])
+    _, cov = one_class(np.array([[-1.0], [1.0]]), [1.0, 1.0])
     np.testing.assert_allclose(cov, [[1.0]])
 
 
 def test_weighted_covariance_ridge_shifts_diagonal():
     xs = np.random.default_rng(0).normal(size=(20, 3))
     w = np.random.default_rng(1).uniform(0.1, 1, 20)
-    base = weighted_covariance(xs, w)
-    ridged = weighted_covariance(xs, w, ridge=0.25)
+    _, cov = one_class(xs, w)
+    base = _floored(cov, 0.0)
+    ridged = _floored(cov, 0.25)
     np.testing.assert_allclose(ridged - base, 0.25 * np.eye(3), atol=1e-15)
+    np.testing.assert_array_equal(base, base.T)
 
 
 def test_weighted_stats_scale_invariant():
     xs = np.random.default_rng(2).normal(size=(30, 4))
     w = np.random.default_rng(3).uniform(0.01, 1, 30)
+    mean, cov = one_class(xs, w)
     for c in (1e-6, 3.7, 1e6):
-        np.testing.assert_allclose(
-            weighted_mean(xs, w), weighted_mean(xs, c * w), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            weighted_covariance(xs, w), weighted_covariance(xs, c * w),
-            rtol=1e-12, atol=1e-12,
-        )
+        scaled_mean, scaled_cov = one_class(xs, c * w)
+        np.testing.assert_allclose(mean, scaled_mean, rtol=1e-12)
+        np.testing.assert_allclose(cov, scaled_cov, rtol=1e-12, atol=1e-12)
 
 
 def test_weighted_stats_match_loop_oracle():
@@ -76,7 +90,8 @@ def test_weighted_stats_match_loop_oracle():
     w = g.uniform(0.05, 2.0, 25)
     total = sum(w)
     mean = [sum(w[i] * xs[i, j] for i in range(25)) / total for j in range(3)]
-    np.testing.assert_allclose(weighted_mean(xs, w), mean, rtol=1e-12)
+    got_mean, got_cov = one_class(xs, w)
+    np.testing.assert_allclose(got_mean, mean, rtol=1e-12)
     cov = [[0.0] * 3 for _ in range(3)]
     for a in range(3):
         for b in range(3):
@@ -84,9 +99,7 @@ def test_weighted_stats_match_loop_oracle():
                 w[i] * (xs[i, a] - mean[a]) * (xs[i, b] - mean[b])
                 for i in range(25)
             ) / total
-    np.testing.assert_allclose(
-        weighted_covariance(xs, w), cov, rtol=1e-10, atol=1e-12
-    )
+    np.testing.assert_allclose(got_cov, cov, rtol=1e-10, atol=1e-12)
 
 
 def test_solve_spd_identity_and_scalar():
