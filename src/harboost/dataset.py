@@ -327,6 +327,17 @@ def _parse_labels(path: Path) -> np.ndarray:
     return y
 
 
+def _hapt_files(root: Path):
+    """Feature names, X_train.txt and y_train.txt of a HAPT directory."""
+    features_file = _require(root / "features.txt")
+    activities_file = _require(root / "activity_labels.txt")
+    x_file = _require(root / "Train" / "X_train.txt")
+    y_file = _require(root / "Train" / "y_train.txt")
+    names = _parse_feature_names(features_file)
+    _parse_activity_names(activities_file)
+    return names, x_file, y_file
+
+
 def load_hapt(data_dir) -> Dataset:
     """Load the HAPT Train partition with all 561 feature columns.
 
@@ -334,14 +345,7 @@ def load_hapt(data_dir) -> Dataset:
     missing file and DataError for malformed content; the error message
     names the file, line, and column where parsing failed.
     """
-    root = Path(data_dir)
-    features_file = _require(root / "features.txt")
-    activities_file = _require(root / "activity_labels.txt")
-    x_file = _require(root / "Train" / "X_train.txt")
-    y_file = _require(root / "Train" / "y_train.txt")
-
-    names = _parse_feature_names(features_file)
-    _parse_activity_names(activities_file)
+    names, x_file, y_file = _hapt_files(Path(data_dir))
     X = _table(x_file, np.float64)
     require_finite(X, f"{x_file}: ")
     y = _parse_labels(y_file)
@@ -386,7 +390,19 @@ def select_features(ds: Dataset, names) -> Dataset:
 
 
 def load_body_acc(data_dir) -> Dataset:
-    """Load the HAPT Train partition restricted to the 15 modeled features."""
+    """Load the HAPT Train partition restricted to the 15 modeled features.
+
+    Only their columns are decoded when read_e7 can show from the text
+    that load_hapt would accept X_train.txt; any other directory, and
+    every error, goes through load_hapt and select_features."""
+    names, x_file, y_file = _hapt_files(Path(data_dir))
+    if all(names.count(n) == 1 for n in BODY_ACC_FEATURES):
+        from .e7text import read_e7  # as in _table
+
+        X = read_e7(x_file, [names.index(n) for n in BODY_ACC_FEATURES],
+                    len(names))
+        if X is not None and len(y := _parse_labels(y_file)) == len(X):
+            return Dataset(X, y, BODY_ACC_FEATURES)
     return select_features(load_hapt(data_dir), BODY_ACC_FEATURES)
 
 

@@ -53,30 +53,39 @@ _DIVISORS = np.where(_SCALES >= -22, POW10.take(-_SCALES, mode="clip"), 1.0)
 _MULTIPLIERS = np.where(_SCALES <= 22, POW10.take(_SCALES, mode="clip"), 1.0)
 #: The first and last k + 99 of those exact powers: -15 <= k <= 29
 _EXACT_K = (-15 + 99, 29 + 99)
+_ONE = np.frombuffer(b"1.0000000e+00", np.uint8)  #: 1's text after its sign
 #: Lemire's eight-digit step: byte pairs, then pairs of pairs
 _PAIR_MASK = 0x0000_00FF_0000_00FF
 _HIGH_PAIRS = 100 + (1_000_000 << 32)
 _LOW_PAIRS = 1 + (10_000 << 32)
 
 
-def read_e7(path) -> np.ndarray | None:
+def read_e7(path, columns=None, n_cells=None) -> np.ndarray | None:
     """The (lines, cells) float64 matrix of a text file of "% .7e" cells,
     equal bit for bit to np.loadtxt's; None unless every line holds line
-    1's number of cells and every byte fits _FORM."""
+    1's number of cells and every byte fits _FORM.
+
+    With columns, cell indices, only those cells of a line are decoded,
+    in that order, and the matrix is None unless every line holds n_cells
+    cells and every cell's text shows it is at most 1 in magnitude.
+    """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         width = len(fh.readline())
         if not width or width % E7_CELL.itemsize or size % width:
             return None
         n, m = size // width, width // E7_CELL.itemsize
-        out = np.empty((n, m))
+        kept = m if columns is None else len(columns)
+        if columns is not None and m != n_cells:
+            return None
+        out = np.empty((n, kept))
         low, span = np.tile(_LOW, m), np.tile(_SPAN, m)
         low[-1] = ord("\n")
         rows = max(1, _READ_BLOCK_BYTES // width)
         text = np.empty((rows, width), np.uint8)
         offset = np.empty_like(text)
         stray = np.empty(text.shape, bool)
-        work = _Work(rows * m)
+        work = _Work(rows * kept)
         fh.seek(0)
         for start in range(0, n, rows):
             r = min(rows, n - start)
@@ -86,6 +95,16 @@ def read_e7(path) -> np.ndarray | None:
             if np.greater(offset[:r], span, out=stray[:r]).any():
                 return None
             cells = text[:r].reshape(r * m, E7_CELL.itemsize)
+            if columns is not None:
+                # a sign before the digits, and a magnitude of at most 1:
+                # a "-" exponent, or "+00" with 0.ddddddd or 1.0000000
+                plus = cells[cells[:, 11] != ord("-")]
+                if not (_MANTISSA_SIGNS.take(cells[:, 0]).all() and (
+                        (plus[:, 11:14] == _ONE[10:]).all(axis=1)
+                        & ((plus[:, 1] == ord("0"))
+                           | (plus[:, 1:10] == _ONE[:9]).all(axis=1))).all()):
+                    return None
+                cells = cells.reshape(r, m, -1)[:, columns].reshape(r * kept, -1)
             if not work.values(cells, out[start:start + r].reshape(-1)):
                 return None
         if fh.read(1):

@@ -54,18 +54,21 @@ class KnnModel(FieldPayload):
     def round_scorer(self, X):
         """score(m) -> m's predictions for X. Neighbor sets do not depend
         on vote weights, so every k-NN model over these same stored rows
-        and k votes through one neighbor table of X; any other model
-        predicts on its own."""
+        and k votes through one neighbor table of X (and its vote cells if
+        its labels are these); any other model predicts on its own."""
         X = _check_queries(X, self.rows.shape[1])
         table = table_for(self.rows, X, self.k)
+        cells = vote_cells(table, self.label_indices(), len(self.class_ids))
 
         def score(m) -> np.ndarray:
             if not (isinstance(m, KnnModel) and m.rows is self.rows
                     and m.k == self.k):
                 return m.predict_batch(X)
-            scores = vote_scores(
-                table, m.label_indices(), m.weights, len(m.class_ids)
-            )
+            same = (np.array_equal(m.labels, self.labels)
+                    and np.array_equal(m.class_ids, self.class_ids))
+            scores = vote_scores(table, None if same else m.label_indices(),
+                                 m.weights, len(m.class_ids),
+                                 cells if same else None)
             return m.class_ids[scores.argmax(axis=1)]
 
         return score
@@ -106,13 +109,12 @@ def neighbor_table(rows: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     (q_f - r_f)^2 over the features in column order. At k == n every row
     is 0..n-1 in index order.
 
-    A pass of _PASS_CELLS // n queries estimates its distances from one
-    product with the stored rows, (q_sq - 2 q.r) + r_sq clipped at 0, and
-    partitions them. An estimate is within slack of its distance, so only
-    a row estimated within 2 slack of the k-th estimate can be among the
-    k nearest. A query whose k partitioned rows are its only such rows,
-    and are each more than 2 slack apart, keeps their estimated order;
-    every other query ranks its candidates by their distances.
+    A pass of _PASS_CELLS // n queries estimates its distances by one
+    product, [q, 1, q.q] @ [-2 r; r.r; 1], and partitions a copy for each
+    k-th estimate. An estimate is within slack of its distance, so only a
+    row estimated within 2 slack of the k-th can be among the k nearest.
+    A query with exactly k such rows, more than 2 slack apart, keeps their
+    estimated order; any other query ranks them by their distances.
     """
     n, d = rows.shape
     if k > n:
@@ -128,42 +130,49 @@ def neighbor_table(rows: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     # - The fixed-order sum: a term's difference and square scale it by
     #   (1 + d1)^2 (1 + d2), and it meets at most d - 1 rounded additions,
     #   so the sum is within gamma_{d+2} D* <= 2 gamma_{d+2} (Q + R) of D*.
-    # - The estimate: a dot product summed in any order is within gamma_d
-    #   of the sum of its terms' magnitudes, so q_sq - 2 g + r_sq is within
-    #   2 gamma_d (Q + R) of D*, and its subtraction and addition, of values
-    #   at most 2 (Q + R), round by 4 u (Q + R) more. The clip at 0 only
-    #   moves an estimate toward D* >= 0.
-    # The two differ by at most (4 d + 8) u (Q + R) = 2 (d + 2) eps (Q + R)
-    # to first order. c = 4 doubles that, which covers the higher-order
-    # terms, Q + R against the computed q_sq + max r_sq and the rounding of
-    # the tests against slack below, while d u < 0.01. Outside this model,
-    # each of the 5 d products and squares that can underflow errs by half
-    # the smallest subnormal at most: the second term.
-    slack = (4 * (d + 2) * np.finfo(np.float64).eps * (q_sq + row_sq.max())
+    # - The estimate is a dot product of d + 2 terms: q_f (-2 r_f) (an exact
+    #   scaling), of magnitudes summing to at most Q + R, and the computed
+    #   q.q and r.r, within gamma_d of Q and R. So it is within
+    #   (2 gamma_{d+2} + gamma_d) (Q + R) of D*.
+    # The two differ by at most (5 d + 8) u (Q + R) to first order. c = 5
+    # doubles that, which covers the higher-order terms, Q + R against the
+    # computed q_sq + max r_sq and the rounding of the tests against slack
+    # below, while d u < 0.01. Outside this model, each of the 5 d products
+    # and squares that can underflow errs by half the smallest subnormal at
+    # most: the second term.
+    slack = (5 * (d + 2) * np.finfo(np.float64).eps * (q_sq + row_sq.max())
              + 3 * d * np.finfo(np.float64).smallest_subnormal)
+    stored = np.vstack([rows.T, row_sq, np.ones(n)])
+    stored[:d] *= -2.0
     out = np.empty((queries.shape[0], k), dtype=np.int64)
     step = max(1, _PASS_CELLS // n)
-    est = np.empty((min(step, queries.shape[0]), n))
+    m = min(step, queries.shape[0])
+    asked, marks = np.ones((m, d + 2)), np.empty((m, n), bool)
+    est, part_est = np.empty((2, m, n))
     for s in range(0, queries.shape[0], step):
         q = queries[s:s + step]
-        e = np.matmul(q, rows.T, out=est[:len(q)])
-        e *= -2.0
-        e += q_sq[s:s + step, None]
-        e += row_sq
-        np.maximum(e, 0.0, out=e)
-        # a copy, so that the partition's whole index array is freed now
-        part = np.argpartition(e, k - 1, axis=1)[:, :k].copy()
-        near = np.take_along_axis(e, part, axis=1)
-        bound = near[:, -1] + 2 * slack[s:s + step]
-        cand = e <= bound[:, None]
+        a = asked[:len(q)]
+        a[:, :d], a[:, d + 1] = q, q_sq[s:s + step]
+        e = np.matmul(a, stored, out=est[:len(q)])
+        part = part_est[:len(q)]
+        part[:] = e
+        part.partition(k - 1, axis=1)
+        bound = part[:, k - 1] + 2 * slack[s:s + step]
+        cand = np.less_equal(e, bound[:, None], out=marks[:len(q)])
         cand[~np.isfinite(bound)] = True
         n_cand = np.add.reduce(cand.view(np.uint8), axis=1, dtype=np.int32)
+        one = np.flatnonzero(n_cand == k)
+        # the k columns of each query with k candidates, in index order
+        cols = np.flatnonzero(cand[one]).reshape(-1, k)
+        cols -= (np.arange(len(one)) * n)[:, None]
+        near = e[one[:, None], cols]
         order = near.argsort(axis=1)
         gaps = np.diff(np.take_along_axis(near, order, axis=1), axis=1)
-        sure = (n_cand == k) & (gaps > 2 * slack[s:s + step, None]).all(axis=1)
+        sure = (gaps > 2 * slack[s + one, None]).all(axis=1)
         block = out[s:s + step]
-        block[:] = np.take_along_axis(part, order, axis=1)
-        redo = np.flatnonzero(~sure)
+        block[one[sure]] = np.take_along_axis(cols[sure], order[sure], axis=1)
+        n_cand[one[sure]] = 0  # any other query has at least k candidates
+        redo = np.flatnonzero(n_cand)
         if redo.size:
             block[redo] = _rank_candidates(rows, q[redo], cand[redo], k)
     return out
@@ -245,20 +254,31 @@ def table_for(rows, queries, k: int) -> np.ndarray:
     position = np.full(len(ranking.features), -1)
     position[stored] = np.arange(len(stored))
     held = position[ranking.ranked[asked]]
-    first = (held >= 0) & (np.cumsum(held >= 0, axis=1) <= k)
-    short = first.sum(axis=1) < k
+    kept = held >= 0
+    count = kept.sum(axis=1)
+    short = count < k
+    # each query's held columns are one span of the row-major flatnonzero
+    first = np.flatnonzero(kept)[(count.cumsum() - count)[~short, None]
+                                 + np.arange(k)]
     out = np.empty((len(asked), k), dtype=np.int64)
-    out[~short] = held[~short][first[~short]].reshape(-1, k)
+    out[~short] = held.ravel()[first]
     if short.any():
         out[short] = neighbor_table(rows, queries[short], k)
     return out
 
 
-def vote_scores(table, label_idx, weights, n_classes: int) -> np.ndarray:
+def vote_cells(table, label_idx, n_classes: int) -> np.ndarray:
+    """Each vote's flat score cell, query * n_classes + class index."""
+    cells = label_idx[table]
+    cells += np.arange(table.shape[0])[:, None] * n_classes
+    return cells.ravel()
+
+
+def vote_scores(table, label_idx, weights, n_classes: int, cells=None):
     """Summed vote weight per class for each query's neighbor set, added
-    in table order."""
+    in table order; cells, if given, are vote_cells of the table."""
     nq = table.shape[0]
-    cells = np.arange(nq)[:, None] * n_classes + label_idx[table]
+    cells = vote_cells(table, label_idx, n_classes) if cells is None else cells
     return np.bincount(
-        cells.ravel(), weights=weights[table].ravel(), minlength=nq * n_classes
+        cells, weights=weights[table].ravel(), minlength=nq * n_classes
     ).reshape(nq, n_classes)

@@ -14,7 +14,9 @@ from harboost.boosting import boost_fit, boost_predict_batch
 from harboost.dataset import Dataset, FoldAssignment, save_csv, stratified_folds
 from harboost.evaluation import cross_validate
 from harboost.learners import Family, LearnerSpec, fit, fold_scope, knn, predict
-from harboost.learners.knn import neighbor_table, table_for, vote_scores
+from harboost.learners.knn import (
+    neighbor_table, table_for, vote_cells, vote_scores,
+)
 from harboost.synthetic import make_activity_dataset
 
 
@@ -167,6 +169,46 @@ def test_vote_scores_equal_add_at_oracle_in_table_order():
     assert not np.array_equal(reordered, want)
 
 
+def test_vote_scores_of_built_cells_equal_vote_scores():
+    rng = np.random.default_rng(6)
+    n, n_classes = 1800, 12
+    rows, queries = _tie_data(n, seed=13), _tie_data(700, seed=14)
+    table = neighbor_table(rows, queries, 12)
+    label_idx = rng.integers(0, n_classes, n)
+    cells = vote_cells(table, label_idx, n_classes)
+    for _ in range(3):
+        weights = 10.0 ** rng.uniform(-8.0, 0.0, n)
+        want = vote_scores(table, label_idx, weights, n_classes)
+        got = vote_scores(table, None, weights, n_classes, cells)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_round_scorer_votes_through_one_set_of_cells(monkeypatch):
+    # rounds over the same labels reuse round 1's vote cells; a model
+    # whose class ids differ builds its own, and every prediction is the
+    # model's own predict_batch
+    ds = make_activity_dataset(150, 4, 3, seed=23, spread=0.5)
+    rng = np.random.default_rng(7)
+    models = [spec(5).fit_weighted(ds, rng.uniform(0.01, 1.0, ds.n_rows))
+              for _ in range(3)]
+    models.append(dataclasses.replace(
+        models[0], class_ids=np.append(models[0].class_ids, 12)))
+    X = make_activity_dataset(40, 4, 3, seed=24, spread=0.5).features
+    real, given_cells = knn.vote_scores, []
+
+    def recorded(table, label_idx, weights, n_classes, cells=None):
+        given_cells.append(cells is not None)
+        return real(table, label_idx, weights, n_classes, cells)
+
+    monkeypatch.setattr(knn, "vote_scores", recorded)
+    score = models[0].round_scorer(X)
+    got = [score(m) for m in models]
+    monkeypatch.undo()
+    assert given_cells == [True, True, True, False]
+    for m, pred in zip(models, got):
+        assert np.array_equal(pred, m.predict_batch(X))
+
+
 @pytest.mark.parametrize("k", [2, 7])
 def test_stored_copies_rank_lowest_index_first(k):
     # 300 distinct rows, each stored 3 times at shuffled positions: a
@@ -219,6 +261,23 @@ def test_neighbor_table_of_offset_rows_equals_oracle(scale, offset):
     with np.errstate(over="ignore", invalid="ignore"):
         _check_against_oracle(rows, rows, (1, 12))
         _check_against_oracle(rows, queries, (1, 12))
+
+
+@pytest.mark.parametrize("data", ["normal-1e-5", "normal-1", "normal-1e5",
+                                  "integer-grid"])
+def test_neighbor_table_equals_oracle_at_any_scale(data):
+    # the estimates' product and the partition only choose candidates;
+    # the table is the oracle's at every k, ties included
+    rng = np.random.default_rng(len(data))
+    if data == "integer-grid":
+        rows = rng.integers(-2, 3, size=(150, 3)).astype(float)
+        queries = rng.integers(-2, 3, size=(70, 3)).astype(float)
+    else:
+        scale = float(data.split("-", 1)[1])
+        rows = rng.normal(size=(150, 7)) * scale
+        queries = rng.normal(size=(70, 7)) * scale
+    _check_against_oracle(rows, queries, (1, 5, 12, 149, 150))
+    _check_against_oracle(rows, rows, (1, 5, 12, 149))
 
 
 def test_neighbor_table_peak_memory_is_a_few_passes():

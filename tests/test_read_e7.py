@@ -177,3 +177,129 @@ def test_load_hapt_values_are_loadtxts(tmp_path):
     ds = load_hapt(root)
     x = np.loadtxt(root / "Train" / "X_train.txt", ndmin=2)
     assert same_bits(ds.features, x)
+
+
+# ---------------------------------------------------------------------------
+# load_body_acc: the 15 columns alone, or load_hapt and select_features
+# ---------------------------------------------------------------------------
+
+
+def _via_load_hapt(root):
+    """load_body_acc's dataset, or DataError text, from the whole matrix."""
+    try:
+        return dataset.select_features(load_hapt(root),
+                                       dataset.BODY_ACC_FEATURES)
+    except DataError as e:
+        return str(e)
+
+
+def _body_acc(root, monkeypatch):
+    """(load_body_acc's dataset or DataError text, whether it fell back
+    to load_hapt)."""
+    calls = []
+    real = dataset.load_hapt
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dataset, "load_hapt", counted)
+        try:
+            got = dataset.load_body_acc(root)
+        except DataError as e:
+            got = str(e)
+    return got, bool(calls)
+
+
+def _same_dataset(a, b) -> bool:
+    return (same_bits(a.features, b.features)
+            and np.array_equal(a.labels, b.labels)
+            and a.feature_names == b.feature_names)
+
+
+@pytest.mark.parametrize("seed,n_rows,total", [(0, 1, 15), (3, 37, 561),
+                                               (7, 200, 30), (515, 120, 561)])
+def test_body_acc_columns_equal_the_whole_matrix(tmp_path, monkeypatch, seed,
+                                                 n_rows, total):
+    root = write_hapt_layout(tmp_path, n_rows=n_rows, seed=seed,
+                             total_features=total)
+    got, fell_back = _body_acc(root, monkeypatch)
+    assert not fell_back
+    assert _same_dataset(got, _via_load_hapt(root))
+
+
+def _cell_at(root, row: int, col: int, text: bytes) -> None:
+    """Overwrite the 14 bytes of one cell of X_train.txt."""
+    path = root / "Train" / "X_train.txt"
+    data = bytearray(path.read_bytes())
+    width = data.index(b"\n") + 1
+    start = row * width + col * E7_CELL
+    data[start:start + len(text)] = text
+    path.write_bytes(bytes(data))
+
+
+def _edit_lines(path, edit) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+
+
+E7_CELL = e7text.E7_CELL.itemsize
+
+#: Directories load_body_acc must read through load_hapt, each a
+#: write_hapt_layout directory (12 rows, 20 columns) with one edit.
+FALLBACKS = {
+    # an unread column's cell
+    "stray-byte": lambda r: _cell_at(r, 3, 17, b" 1.23x5678e-01"),
+    "stray-mantissa-sign": lambda r: _cell_at(r, 3, 17, b"+1.2345678e-01"),
+    "stray-exponent-sign": lambda r: _cell_at(r, 3, 17, b" 1.2345678e,01"),
+    "above-one": lambda r: _cell_at(r, 5, 18, b" 1.5000000e+00"),
+    "far-above-one": lambda r: _cell_at(r, 5, 18, b"-2.0000000e+03"),
+    "plus-01-below-one": lambda r: _cell_at(r, 2, 16, b" 0.0500000e+01"),
+    # a read column's cell
+    "read-column-above-one": lambda r: _cell_at(r, 4, 2, b" 1.0000001e+00"),
+    "read-column-plus-01": lambda r: _cell_at(r, 4, 2, b"-0.1000000e+01"),
+    # the feature names and the labels
+    "duplicated-name": lambda r: _edit_lines(
+        r / "features.txt",
+        lambda ls: ls[:17] + ["18 tBodyAcc-Mad-2\n"] + ls[18:]),
+    "missing-name": lambda r: _edit_lines(
+        r / "features.txt",
+        lambda ls: ["1 tBodyAcc-Mean-X\n"] + ls[1:]),
+    "fewer-names": lambda r: _edit_lines(r / "features.txt",
+                                         lambda ls: ls[:-1]),
+    "more-names": lambda r: _edit_lines(r / "features.txt",
+                                        lambda ls: ls + ["21 extra\n"]),
+    "fewer-labels": lambda r: _edit_lines(r / "Train" / "y_train.txt",
+                                          lambda ls: ls[:-1]),
+    "more-labels": lambda r: _edit_lines(r / "Train" / "y_train.txt",
+                                         lambda ls: ls + ["3\n"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_doubtful_directories_fall_back_to_load_hapt(tmp_path, monkeypatch,
+                                                     name):
+    root = write_hapt_layout(tmp_path, n_rows=12, seed=4, total_features=20)
+    FALLBACKS[name](root)
+    got, fell_back = _body_acc(root, monkeypatch)
+    expected = _via_load_hapt(root)
+    assert fell_back
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert _same_dataset(got, expected)
+
+
+@pytest.mark.parametrize("text", [b" 0.0000000e+00", b"-0.0000000e+00",
+                                  b" 1.0000000e+00", b"-1.0000000e+00",
+                                  b"-0.5000000e+00",
+                                  b" 9.9999999e-01", b"-5.0000000e-99"])
+def test_cells_within_one_by_their_text_keep_the_column_path(
+        tmp_path, monkeypatch, text):
+    root = write_hapt_layout(tmp_path, n_rows=12, seed=4, total_features=20)
+    _cell_at(root, 7, 19, text)
+    _cell_at(root, 8, 0, text)
+    got, fell_back = _body_acc(root, monkeypatch)
+    assert not fell_back
+    assert _same_dataset(got, _via_load_hapt(root))

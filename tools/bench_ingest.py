@@ -1,6 +1,6 @@
 """Time HAPT ingest with the fixed-width reader against np.loadtxt.
 
-    python3 tools/bench_ingest.py [--pairs N] [--out BENCH_ingest.json]
+    python3 tools/bench_ingest.py [--pairs N] [--columns] [--out BENCH_ingest.json]
 
 For each size (2000 and 7767 rows of write_hapt_layout's 561 columns)
 the script times, in alternating pairs whose order swaps each pair:
@@ -18,6 +18,13 @@ reader won, the peak memory, and the machine: CPU, numpy's SIMD
 baseline, dispatch targets and the CPU features it found, and the BLAS
 build. Run it from the root of a source checkout; BLAS is pinned to one
 thread.
+
+With --columns it times load_body_acc, which decodes only the 15
+modeled columns, against load_hapt and select_features, which decode
+all 561 and keep 15, and read_e7 of those columns against read_e7 of
+all of them; each reading is checked bit for bit, and peak memory is
+taken after one load of each path. That record is stored under
+"body_acc_columns"; every run keeps the other record in the file.
 """
 
 from __future__ import annotations
@@ -49,6 +56,12 @@ from harboost.synthetic import write_hapt_layout  # noqa: E402
 #: (rows, write_hapt_layout seed) of each measured file
 SIZES = ((2000, 1), (7767, 2))
 READERS = ("array", "loadtxt")
+#: load_body_acc's two paths: its 15 columns alone, or the whole matrix
+BODY_ACC = {
+    "columns": dataset.load_body_acc,
+    "full": lambda root: dataset.select_features(dataset.load_hapt(root),
+                                                 dataset.BODY_ACC_FEATURES),
+}
 
 
 @contextlib.contextmanager
@@ -106,8 +119,40 @@ def measure(root: Path, pairs: int) -> dict:
     }
 
 
+def measure_columns(root: Path, pairs: int) -> dict:
+    x_path = root / "Train" / "X_train.txt"
+    names = dataset._parse_feature_names(root / "features.txt")
+    columns = [names.index(n) for n in dataset.BODY_ACC_FEATURES]
+    parses = {
+        "columns": lambda: e7text.read_e7(x_path, columns, len(names)),
+        "full": lambda: e7text.read_e7(x_path)[:, columns],
+    }
+    expected = BODY_ACC["full"](root).features.view(np.int64)
+    load = {name: [] for name in BODY_ACC}
+    text = {name: [] for name in BODY_ACC}
+    for i in range(pairs):
+        for name in list(BODY_ACC) if i % 2 == 0 else list(BODY_ACC)[::-1]:
+            seconds, ds = timed(BODY_ACC[name], root)
+            load[name].append(seconds)
+            assert np.array_equal(ds.features.view(np.int64), expected)
+            seconds, x = timed(parses[name])
+            text[name].append(seconds)
+            assert np.array_equal(x.view(np.int64), expected)
+    return {
+        "file_bytes": x_path.stat().st_size,
+        "load_body_acc_s": {name: summary(load[name]) for name in BODY_ACC},
+        "parse_s": {name: summary(text[name]) for name in BODY_ACC},
+        "load_pairs_won_by_columns": sum(
+            a < b for a, b in zip(load["columns"], load["full"])),
+        "parse_pairs_won_by_columns": sum(
+            a < b for a, b in zip(text["columns"], text["full"])),
+        "peak_rss_mb": {name: peak_rss(name, root) for name in BODY_ACC},
+    }
+
+
 def peak_rss(name: str, root: Path) -> float:
-    """Peak RSS in MB of a fresh interpreter after one load_hapt."""
+    """Peak RSS in MB of a fresh interpreter after one load_hapt with a
+    reader, or one load of a BODY_ACC path."""
     out = subprocess.run(
         [sys.executable, __file__, "--peak-rss", name, str(root)],
         check=True, capture_output=True, text=True).stdout
@@ -152,15 +197,43 @@ def environment() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pairs", type=int, default=15)
+    parser.add_argument("--columns", action="store_true",
+                        help="time load_body_acc's column decode instead")
     parser.add_argument("--out", default=str(ROOT / "BENCH_ingest.json"))
     parser.add_argument("--peak-rss", nargs=2, metavar=("READER", "DIR"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.peak_rss:
         name, root = args.peak_rss
-        with reader(name):
-            dataset.load_hapt(root)
+        if name in BODY_ACC:
+            BODY_ACC[name](root)
+        else:
+            with reader(name):
+                dataset.load_hapt(root)
         print(high_water_mb())
+        return 0
+
+    out = Path(args.out)
+    kept = json.loads(out.read_text()) if out.exists() else {}
+    if args.columns:
+        record = {
+            "benchmark": "load_body_acc: the 15 modeled columns of the "
+                         "fixed-width X_train.txt decoded alone, against "
+                         "load_hapt and select_features",
+            "command": "python3 tools/bench_ingest.py --columns --pairs "
+                       f"{args.pairs}",
+            "environment": environment(),
+            "sizes": {},
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            for rows, seed in SIZES:
+                root = write_hapt_layout(Path(tmp) / str(rows), n_rows=rows,
+                                         seed=seed)
+                record["sizes"][str(rows)] = measure_columns(root, args.pairs)
+        kept["body_acc_columns"] = record
+        text = json.dumps(kept, indent=2, sort_keys=True) + "\n"
+        out.write_text(text)
+        print(text, end="")
         return 0
 
     record = {
@@ -177,8 +250,10 @@ def main(argv=None) -> int:
             root = write_hapt_layout(Path(tmp) / str(rows), n_rows=rows,
                                      seed=seed)
             record["sizes"][str(rows)] = measure(root, args.pairs)
+    if "body_acc_columns" in kept:
+        record["body_acc_columns"] = kept["body_acc_columns"]
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    Path(args.out).write_text(text)
+    out.write_text(text)
     print(text, end="")
     return 0
 
