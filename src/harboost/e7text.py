@@ -37,8 +37,7 @@ _LOW = np.where(_FORM == ord("0"), ord("0"),
 _SPAN = np.where(_FORM == ord("0"), 9,
                  np.where(_FORM == ord("s"), 255, 0)).astype(np.uint8)
 #: Bytes of whole lines read_e7 checks and converts at a time (at least
-#: one line); with its working arrays a block takes about 0.6 MB, all
-#: allocated once per file.
+#: one line); a block and the arrays formed from it take under 1 MB.
 _READ_BLOCK_BYTES = 1 << 17
 #: Each byte's sign before the digits, and in the exponent; 0 for none.
 _MANTISSA_SIGNS = np.zeros(256)
@@ -83,16 +82,12 @@ def read_e7(path, columns=None, n_cells=None) -> np.ndarray | None:
         low[-1] = ord("\n")
         rows = max(1, _READ_BLOCK_BYTES // width)
         text = np.empty((rows, width), np.uint8)
-        offset = np.empty_like(text)
-        stray = np.empty(text.shape, bool)
-        work = _Work(rows * kept)
         fh.seek(0)
         for start in range(0, n, rows):
             r = min(rows, n - start)
             if fh.readinto(text[:r]) != r * width:
                 return None  # the file shrank
-            np.subtract(text[:r], low, out=offset[:r])
-            if np.greater(offset[:r], span, out=stray[:r]).any():
+            if ((text[:r] - low) > span).any():
                 return None
             cells = text[:r].reshape(r * m, E7_CELL.itemsize)
             if columns is not None:
@@ -105,63 +100,39 @@ def read_e7(path, columns=None, n_cells=None) -> np.ndarray | None:
                            | (plus[:, 1:10] == _ONE[:9]).all(axis=1))).all()):
                     return None
                 cells = cells.reshape(r, m, -1)[:, columns].reshape(r * kept, -1)
-            if not work.values(cells, out[start:start + r].reshape(-1)):
+            values = _values(cells)
+            if values is None:
                 return None
+            out[start:start + r] = values.reshape(r, kept)
         if fh.read(1):
             return None  # the file grew
     return out
 
 
-class _Work:
-    """The working arrays of a block of up to n cells, reused by every
-    block of a file."""
-
-    def __init__(self, n: int):
-        self.signs, self.scale = np.empty(n), np.empty(n)
-        self.k = np.empty(n, np.intp)
-        self.e, self.e2 = np.empty(n, np.uint16), np.empty(n, np.uint16)
-        self.d, self.t = np.empty(n, np.uint64), np.empty(n, np.uint64)
-
-    def values(self, cells: np.ndarray, out: np.ndarray) -> bool:
-        """Write the values of cells, an (n, 15) byte array of cells that
-        fit _FORM, to out; False if a sign byte is no sign."""
-        n = len(cells)
-        signs, scale, k = self.signs[:n], self.scale[:n], self.k[:n]
-        e, e2, d, t = self.e[:n], self.e2[:n], self.d[:n], self.t[:n]
-        _MANTISSA_SIGNS.take(cells[:, 0], out=signs)
-        _EXPONENT_SIGNS.take(cells[:, 11], out=k)
-        if not (signs.all() and k.all()):
-            return False
-        # k: the 2 exponent digits, read as one little-endian word (a
-        # digit's low 4 bits are its value), times the sign, plus 99
-        np.bitwise_and(cells[:, 12:14].view("<u2")[:, 0], 0x0F0F, out=e)
-        np.right_shift(e, 8, out=e2)
-        e &= 0x0F
-        e *= 10
-        e += e2
-        k *= e
-        k += 99
-        # D: the lead digit takes the place of the ".", then the word's 8
-        # ASCII digits are summed pairwise by Lemire's eight-digit step
-        np.add(cells.view(E7_CELL)[:, 0]["frac"], cells[:, 1], out=d)
-        d -= 0x3030_3030_3030_302E + ord("0")
-        np.right_shift(d, 8, out=t)
-        d *= 10
-        d += t
-        np.right_shift(d, 16, out=t)
-        t &= _PAIR_MASK
-        t *= _LOW_PAIRS
-        d &= _PAIR_MASK
-        d *= _HIGH_PAIRS
-        d += t
-        d >>= 32
-        _DIVISORS.take(k, out=scale)
-        np.divide(d, scale, out=out)
-        _MULTIPLIERS.take(k, out=scale)
-        out *= scale
-        out *= signs
-        if k.min() < _EXACT_K[0] or k.max() > _EXACT_K[1]:
-            far = (k < _EXACT_K[0]) | (k > _EXACT_K[1])
-            for i in np.flatnonzero(far).tolist():
-                out[i] = float(cells[i, :-1].tobytes())
-        return True
+def _values(cells: np.ndarray) -> np.ndarray | None:
+    """The values of cells, an (n, 15) byte array of cells that fit
+    _FORM; None if a sign byte is no sign."""
+    signs = _MANTISSA_SIGNS.take(cells[:, 0])
+    k = _EXPONENT_SIGNS.take(cells[:, 11])
+    if not (signs.all() and k.all()):
+        return None
+    # k: the 2 exponent digits, read as one little-endian word (a
+    # digit's low 4 bits are its value), times the sign, plus 99
+    e = cells[:, 12:14].view("<u2")[:, 0] & 0x0F0F
+    k *= (e & 0x0F) * 10 + (e >> 8)
+    k += 99
+    # D: the lead digit takes the place of the ".", then the word's 8
+    # ASCII digits are summed pairwise by Lemire's eight-digit step
+    d = cells.view(E7_CELL)[:, 0]["frac"] + cells[:, 1]
+    d -= 0x3030_3030_3030_302E + ord("0")
+    d = d * 10 + (d >> 8)
+    d = ((d & _PAIR_MASK) * _HIGH_PAIRS
+         + ((d >> 16) & _PAIR_MASK) * _LOW_PAIRS) >> 32
+    out = d / _DIVISORS.take(k)
+    out *= _MULTIPLIERS.take(k)
+    out *= signs
+    if k.min() < _EXACT_K[0] or k.max() > _EXACT_K[1]:
+        far = (k < _EXACT_K[0]) | (k > _EXACT_K[1])
+        for i in np.flatnonzero(far).tolist():
+            out[i] = float(cells[i, :-1].tobytes())
+    return out

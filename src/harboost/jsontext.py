@@ -5,16 +5,13 @@ byte for byte. With an indent, json.dumps encodes every value in
 Python; here dicts and nested lists are walked in Python, and each
 list of scalars (a model's vote weights, a confusion matrix's counts)
 is one call of the C encoder whose item separator carries the newline
-and indent. A list of equal-length lists of finite floats (kernel
-naive Bayes's samples) is one float64 matrix, whose rows
-floattext.row_texts writes as the encoder's float.__repr__ would. A
-numpy array is written as its nested lists, a finite float64 matrix
-(k-NN's stored rows) by row_texts too.
+and indent. A numpy array is written as its nested lists; the rows of a
+finite float64 matrix (k-NN's stored rows) come from
+floattext.row_texts, as the encoder's float.__repr__ would write them.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from functools import lru_cache
 
@@ -60,8 +57,6 @@ def _write(value, newline: str, out: list[str]) -> None:
         elif set(map(type, value)) <= _SCALARS:
             out.append("[" + inner + _scalar_list(inner)(value)[1:-1]
                        + newline + "]")
-        elif (table := _float_table(value)) is not None:
-            _write_table(table, newline, out)
         else:
             sep = "[" + inner
             for item in value:
@@ -86,18 +81,6 @@ def _write_table(table: np.ndarray, newline: str, out: list[str]) -> None:
     rows = f"{inner}],{inner}[{cell}".join(
         [text.replace(" ", "," + cell) for text in row_texts(table)])
     out.append(f"[{inner}[{cell}{rows}{inner}]{newline}]")
-
-
-def _float_table(rows) -> np.ndarray | None:
-    """rows as a float64 matrix if they are lists (or tuples) of one
-    non-zero length holding finite floats alone, else None."""
-    cells = itertools.chain.from_iterable
-    if not (set(map(type, rows)) <= {list, tuple}
-            and len(set(map(len, rows))) == 1 and rows[0]
-            and set(map(type, cells(rows))) == {float}):
-        return None
-    table = np.fromiter(cells(rows), np.float64, len(rows) * len(rows[0]))
-    return table.reshape(len(rows), -1) if np.isfinite(table).all() else None
 
 
 def _key(key) -> str:

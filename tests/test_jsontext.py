@@ -50,7 +50,7 @@ def test_canonical_json_is_json_dumps(doc):
     [[1, 2], [3.5, [4, []]], {"k": (True, None)}],
     {1: "one", 2: "two"}, {2.5: 0, -0.0: 1}, {True: 1, False: 0},
     {None: 0}, "text", 7, None, math.nan,
-    # lists of equal-length float lists are written as one matrix
+    # float lists of one or many lengths, with non-float or non-finite cells
     [[0.5, 1e-05], [1e16, -0.0]], [[0.1, 0.2], (0.3, 0.4)],
     {"a": [[[0.5, 0.25]], [[1.5, 2.5]]], "b": [[1.0], [2.0, 3.0]]},
     [[1.0, 2], [3.0, 4.0]], [[math.nan, 1.0], [2.0, 3.0]], [[], []],

@@ -23,8 +23,12 @@ With --columns it times load_body_acc, which decodes only the 15
 modeled columns, against load_hapt and select_features, which decode
 all 561 and keep 15, and read_e7 of those columns against read_e7 of
 all of them; each reading is checked bit for bit, and peak memory is
-taken after one load of each path. That record is stored under
-"body_acc_columns"; every run keeps the other record in the file.
+taken after one load of each path.
+
+The file keeps every earlier record. A run stores its record, "load_hapt"
+or "body_acc_columns", under the checkout's short commit id from git,
+with "-dirty" added when src/ differs from that commit; it replaces
+only an earlier record of the same kind under the same id.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ import contextlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
-import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -89,7 +92,7 @@ def timed(fn, *args) -> tuple[float, object]:
 
 
 def summary(times: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    q1, median, q3 = np.percentile(times, [25, 50, 75]).tolist()
     return {"median": median, "quartiles": [q1, q3], "runs": len(times)}
 
 
@@ -213,49 +216,45 @@ def main(argv=None) -> int:
         print(high_water_mb())
         return 0
 
-    out = Path(args.out)
-    kept = json.loads(out.read_text()) if out.exists() else {}
     if args.columns:
+        kind, measure_size = "body_acc_columns", measure_columns
         record = {
             "benchmark": "load_body_acc: the 15 modeled columns of the "
                          "fixed-width X_train.txt decoded alone, against "
                          "load_hapt and select_features",
             "command": "python3 tools/bench_ingest.py --columns --pairs "
                        f"{args.pairs}",
-            "environment": environment(),
-            "sizes": {},
         }
-        with tempfile.TemporaryDirectory() as tmp:
-            for rows, seed in SIZES:
-                root = write_hapt_layout(Path(tmp) / str(rows), n_rows=rows,
-                                         seed=seed)
-                record["sizes"][str(rows)] = measure_columns(root, args.pairs)
-        kept["body_acc_columns"] = record
-        text = json.dumps(kept, indent=2, sort_keys=True) + "\n"
-        out.write_text(text)
-        print(text, end="")
-        return 0
-
-    record = {
-        "benchmark": "HAPT ingest: load_hapt and the X_train.txt parse, "
-                     "fixed-width array reader against np.loadtxt",
-        "command": "python3 tools/bench_ingest.py --pairs "
-                   f"{args.pairs}",
-        "columns": 561,
-        "environment": environment(),
-        "sizes": {},
-    }
+    else:
+        kind, measure_size = "load_hapt", measure
+        record = {
+            "benchmark": "HAPT ingest: load_hapt and the X_train.txt parse, "
+                         "fixed-width array reader against np.loadtxt",
+            "command": f"python3 tools/bench_ingest.py --pairs {args.pairs}",
+            "columns": 561,
+        }
+    record.update(environment=environment(), sizes={})
     with tempfile.TemporaryDirectory() as tmp:
         for rows, seed in SIZES:
             root = write_hapt_layout(Path(tmp) / str(rows), n_rows=rows,
                                      seed=seed)
-            record["sizes"][str(rows)] = measure(root, args.pairs)
-    if "body_acc_columns" in kept:
-        record["body_acc_columns"] = kept["body_acc_columns"]
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+            record["sizes"][str(rows)] = measure_size(root, args.pairs)
+    out = Path(args.out)
+    history = json.loads(out.read_text()) if out.exists() else {}
+    history.setdefault(checkout_id(), {})[kind] = record
+    text = json.dumps(history, indent=2, sort_keys=True) + "\n"
     out.write_text(text)
     print(text, end="")
     return 0
+
+
+def checkout_id() -> str:
+    """HEAD's short commit id, and "-dirty" if src/ differs from it."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+    dirty = git("status", "--porcelain", "--", "src")
+    return git("rev-parse", "--short", "HEAD") + ("-dirty" if dirty else "")
 
 
 if __name__ == "__main__":
