@@ -205,7 +205,7 @@ def dataset_digest(ds: Dataset) -> str:
     h.update((",".join(ds.feature_names) + "\n").encode())
     # repr of a float is the shortest decimal that round-trips to it; the
     # rows' text is streamed unless a writer of this dataset has kept it
-    rows = kept_rows(ds.features) or repr_rows(ds.features, " ")
+    rows = kept_rows(ds.features) or repr_rows(ds.features)
     for text, lab in zip(rows, ds.labels.tolist()):
         h.update(f"{text} {lab}\n".encode())
     return h.hexdigest()

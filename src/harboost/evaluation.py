@@ -295,12 +295,13 @@ def _cv_result(spec, results, labels, folds, rounds, seed) -> CVResult:
     )
 
 
-def _cross_validate_all(specs, ds, folds, rounds, seed, assignment,
+def _cross_validate_all(specs, ds, folds, rounds, seed,
                         threads) -> list[CVResult]:
-    """Cross-validate every spec on one fold assignment, running all
-    (spec, fold group) tasks through one executor. With one worker a
-    spec's folds form one group; with N workers, N groups. Raises
-    DataError if a fold's training set holds a single class."""
+    """Cross-validate every spec on one stratified fold assignment,
+    running all (spec, fold group) tasks through one executor. With one
+    worker a spec's folds form one group; with N workers, N groups.
+    Raises DataError if a fold's training set holds a single class."""
+    assignment = stratified_folds(ds, folds, seed)
     for f in range(folds):
         classes = set(ds.labels[assignment.train_rows(f)].tolist())
         if len(classes) < 2:
@@ -336,10 +337,8 @@ def cross_validate(
     With threads > 1 the folds run in up to that many worker processes;
     the result is independent of the thread count.
     """
-    assignment = stratified_folds(ds, folds, seed)
-    return _cross_validate_all(
-        [base_spec], ds, folds, rounds, seed, assignment, threads
-    )[0]
+    return _cross_validate_all([base_spec], ds, folds, rounds, seed,
+                               threads)[0]
 
 
 @dataclass(frozen=True)
@@ -382,10 +381,7 @@ def compare(
     specs = list(specs)
     if not specs:
         raise ValueError("no learner specs given")
-    assignment = stratified_folds(ds, folds, seed)
-    results = _cross_validate_all(
-        specs, ds, folds, rounds, seed, assignment, threads
-    )
+    results = _cross_validate_all(specs, ds, folds, rounds, seed, threads)
     measured = []
     for i, (spec, result) in enumerate(zip(specs, results)):
         name = FAMILIES[spec.family].display_name \

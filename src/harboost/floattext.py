@@ -1,7 +1,7 @@
 """Decimal text of float64 arrays, written by array arithmetic.
 
-repr_rows gives each row of a matrix as sep.join(map(repr, row)), byte
-for byte. repr writes the shortest decimal that reads back as the
+repr_rows gives each row of a matrix as " ".join(map(repr, row)),
+byte for byte. repr writes the shortest decimal that reads back as the
 value (Steele & White's shortest round-trip printing). Here a cell of
 10**-8 <= |x| < 10**15 takes D = rint(|x| * 10**(14-e)), with e its
 decimal exponent and an exactly representable power of ten. If D has
@@ -76,23 +76,22 @@ _NDIGITS = _significant_digits()
 #: decpt, the decimal point's place after the first of D's digits, of
 #: the fast path: 10**-8 <= |x| < 10**15
 _DECPTS = range(-7, 16)
-#: One cell's alphabet: D's 15 digits and a 0, then these characters
-#: and the separator; a layout indexes into it.
-_CHARS = "0123456789.-e"
+#: One cell's alphabet: D's 15 digits and a 0, then these characters,
+#: the last the space that ends a cell; a layout indexes into it.
+_CHARS = "0123456789.-e "
 #: Pads a layout past its length; negative after any cell's offset.
 _UNUSED = np.iinfo(np.intp).min
 
 
-@functools.lru_cache(maxsize=None)
-def _layouts(sep: str):
+@functools.cache
+def _layouts():
     """(layouts, lengths, width): row 30 * (decpt + 7) + 15 * negative
     + nd - 1 of layouts lists, from the start of a cell's alphabet, the
-    characters repr writes for nd significant digits at decpt, then
-    sep, padded with _UNUSED to lengths.max() entries. width is the
+    characters repr writes for nd significant digits at decpt, then a
+    space, padded with _UNUSED to lengths.max() entries. width is the
     alphabet's, in bytes, a multiple of 8."""
-    zero, dot, minus, e = (16 + _CHARS.index(c) for c in "0.-e")
-    stop = 16 + len(_CHARS) + len(sep)
-    tail = [*range(16 + len(_CHARS), stop)]
+    zero, dot, minus, e, space = (16 + _CHARS.index(c) for c in "0.-e ")
+    stop = 16 + len(_CHARS)
     rows = []
     for decpt in _DECPTS:
         bodies = []
@@ -105,7 +104,7 @@ def _layouts(sep: str):
             else:  # 1.25e-05, 1e-08
                 body = [0, *([dot, *range(1, nd)] if nd > 1 else []),
                         e, minus, zero, zero + 1 - decpt]
-            bodies.append(body + tail)
+            bodies.append(body + [space])
         rows += bodies + [[minus, *body] for body in bodies]
     lengths = np.array([len(r) for r in rows])
     size = lengths.max()
@@ -113,18 +112,18 @@ def _layouts(sep: str):
     return layouts, lengths, -(-stop // 8) * 8
 
 
-def repr_rows(table: np.ndarray, sep: str):
+def repr_rows(table: np.ndarray):
     """Yield each row of the 2-D float64 array table as
-    sep.join(map(repr, row.tolist())), for an ASCII sep, formatting a
-    block of rows at a time."""
+    " ".join(map(repr, row.tolist())), formatting a block of rows at a
+    time."""
     n, m = table.shape
     block = max(1, _BLOCK_CELLS // max(m, 1))
     for start in range(0, n, block):
-        yield from _repr_block(table[start:start + block], sep)
+        yield from _repr_block(table[start:start + block])
 
 
 def row_texts(table: np.ndarray) -> list[str]:
-    """list(repr_rows(table, " ")). No repr text holds a space, so the
+    """list(repr_rows(table)). No repr text holds a space, so the
     rows with another separator are text.replace(" ", sep). The list of
     the last read-only table is kept while that table lives, so that the
     writers of one dataset's text (its CSV, its digest, a model's stored
@@ -132,7 +131,7 @@ def row_texts(table: np.ndarray) -> list[str]:
     global _last_rows
     texts = kept_rows(table)
     if texts is None:
-        texts = list(repr_rows(table, " "))
+        texts = list(repr_rows(table))
         if not table.flags.writeable:
             _last_rows = weakref.ref(table, _forget_rows), texts
     return texts
@@ -178,28 +177,28 @@ def _quartets(d: np.ndarray):
     yield (d * 10).astype(np.intp)
 
 
-def _repr_block(table: np.ndarray, sep: str) -> list[str]:
+def _repr_block(table: np.ndarray) -> list[str]:
     n, m = table.shape
     if not m:
         return [""] * n
     x = table.ravel()
     fast, e, d = _digits(x)
     whole = fast.reshape(n, m).all(axis=1)
-    rows = _laid_out(x, e, d, m, sep) if whole.any() else [""] * n
+    rows = _laid_out(x, e, d, m) if whole.any() else [""] * n
     # a row with any other cell is written by repr itself
     for r in np.flatnonzero(~whole).tolist():
-        rows[r] = sep.join(map(repr, table[r].tolist()))
+        rows[r] = " ".join(map(repr, table[r].tolist()))
     return rows
 
 
-def _laid_out(x: np.ndarray, e: np.ndarray, d: np.ndarray, m: int,
-              sep: str) -> list[str]:
+def _laid_out(x: np.ndarray, e: np.ndarray, d: np.ndarray,
+              m: int) -> list[str]:
     """The rows of m cells of x, e and D, each cell laid out as repr
     lays out its digits."""
-    layouts, lengths, width = _layouts(sep)
+    layouts, lengths, width = _layouts()
     alphabet = np.empty((x.size, width), dtype=np.uint8)
-    alphabet[:, 16:16 + len(_CHARS) + len(sep)] = np.frombuffer(
-        (_CHARS + sep).encode(), dtype=np.uint8)
+    alphabet[:, 16:16 + len(_CHARS)] = np.frombuffer(_CHARS.encode(),
+                                                     dtype=np.uint8)
     nd = np.ones(x.size, dtype=np.intp)  # a zero's "0.0"
     for k, group in enumerate(_quartets(d)):
         alphabet.view("<u4")[:, k] = DIGITS.take(group)
@@ -211,5 +210,5 @@ def _laid_out(x: np.ndarray, e: np.ndarray, d: np.ndarray, m: int,
     cells += (np.arange(x.size) * width)[:, None]
     text = alphabet.ravel().take(cells[cells >= 0]).tobytes().decode("ascii")
     ends = np.cumsum(cell_lengths.reshape(-1, m).sum(axis=1)).tolist()
-    cut = len(sep)  # each row's cells end with a separator
-    return [text[start:end - cut] for start, end in zip([0, *ends], ends)]
+    # each row's last cell ends with a space
+    return [text[start:end - 1] for start, end in zip([0, *ends], ends)]

@@ -66,9 +66,9 @@ class KnnModel(FieldPayload):
                 return m.predict_batch(X)
             same = (np.array_equal(m.labels, self.labels)
                     and np.array_equal(m.class_ids, self.class_ids))
-            scores = vote_scores(table, None if same else m.label_indices(),
-                                 m.weights, len(m.class_ids),
-                                 cells if same else None)
+            n = len(m.class_ids)
+            own = cells if same else vote_cells(table, m.label_indices(), n)
+            scores = vote_scores(table, own, m.weights, n)
             return m.class_ids[scores.argmax(axis=1)]
 
         return score
@@ -274,11 +274,10 @@ def vote_cells(table, label_idx, n_classes: int) -> np.ndarray:
     return cells.ravel()
 
 
-def vote_scores(table, label_idx, weights, n_classes: int, cells=None):
+def vote_scores(table, cells, weights, n_classes: int):
     """Summed vote weight per class for each query's neighbor set, added
-    in table order; cells, if given, are vote_cells of the table."""
+    in table order; cells are vote_cells of the table."""
     nq = table.shape[0]
-    cells = vote_cells(table, label_idx, n_classes) if cells is None else cells
     return np.bincount(
         cells, weights=weights[table].ravel(), minlength=nq * n_classes
     ).reshape(nq, n_classes)

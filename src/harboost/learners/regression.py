@@ -45,7 +45,7 @@ class LinearScoreModel(FieldPayload):
 
 def fit_linear(ds, w, ridge: float | None, joint: bool) -> LinearScoreModel:
     w = np.asarray(w, dtype=np.float64)
-    class_ids = np.unique(ds.labels[w > 0] if (w > 0).any() else ds.labels)
+    class_ids = np.unique(ds.labels[w > 0])
     z = np.hstack([np.ones((ds.n_rows, 1)), ds.features])
     wz = z * w[:, None]
     a = z.T @ wz

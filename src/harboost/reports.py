@@ -35,8 +35,8 @@ _ACCURACIES = ("mean_accuracy", "std_accuracy", "micro_accuracy")
 _SUMMARY_STATS = ("mean", "std", "median_abs_dev", "max", "min")
 
 
-def pct(x: float | None, digits: int = 2) -> str:
-    return _UNDEFINED if x is None else f"{100.0 * x:.{digits}f}%"
+def pct(x: float | None) -> str:
+    return _UNDEFINED if x is None else f"{100.0 * x:.2f}%"
 
 
 def headline(result: CVResult) -> str:
@@ -74,7 +74,7 @@ def _csv(table: list[list[str]]) -> str:
 def _reprs(values) -> list[str]:
     """repr of each float in values."""
     column = np.array(values, dtype=np.float64).reshape(-1, 1)
-    return list(repr_rows(column, ""))
+    return list(repr_rows(column))
 
 
 def _confusion_block(cm: ConfusionMatrix) -> dict:

@@ -160,10 +160,10 @@ def write_hapt_layout(
     The 15 modeled feature names occupy columns 1..15 (as in the real
     distribution); remaining columns carry filler names and noise.
     """
-    root = Path(root)
-    (root / "Train").mkdir(parents=True, exist_ok=True)
     if total_features < len(BODY_ACC_FEATURES):
         raise ValueError("total_features must cover the 15 modeled columns")
+    root = Path(root)
+    (root / "Train").mkdir(parents=True, exist_ok=True)
     names = list(BODY_ACC_FEATURES) + [
         f"synthetic-Extra-{j}" for j in range(total_features - len(BODY_ACC_FEATURES))
     ]

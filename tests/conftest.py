@@ -1,4 +1,8 @@
+import importlib.util
 import os
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from harboost.dataset import BODY_ACC_FEATURES, load_hapt, select_features
 from harboost.synthetic import make_activity_dataset, write_hapt_layout
 
 HAPT_ENV = "HAPT_DATA_DIR"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def hapt_available() -> bool:
@@ -17,6 +22,18 @@ requires_hapt = pytest.mark.skipif(
     not hapt_available(),
     reason=f"set {HAPT_ENV} to the HAPT directory to run real-data tests",
 )
+
+
+def load_tool(name: str):
+    """tools/<name>.py as a module. tools/ is on sys.path while it loads,
+    for the harness the tools share, and os.environ is restored after
+    it, since the harness pins the BLAS threads."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ), \
+            mock.patch.object(sys, "path", [str(TOOLS), *sys.path]):
+        spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

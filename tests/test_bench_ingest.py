@@ -2,37 +2,31 @@
 
 The tool patches e7text.read_e7 and calls dataset's loaders directly, so
 a refactor of either can break it without failing any other test. Its
-measure and measure_columns assert bit identity with np.loadtxt.
+measure asserts each side's readings bit for bit against the second
+side's load.
 """
 
 from __future__ import annotations
-
-import importlib.util
-import os
-from pathlib import Path
-from unittest import mock
 
 import pytest
 
 from harboost.synthetic import write_hapt_layout
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_ingest.py"
+from conftest import load_tool
 
 
 @pytest.fixture(scope="module")
 def bench_ingest():
-    spec = importlib.util.spec_from_file_location("bench_ingest", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ):  # it pins the BLAS threads
-        spec.loader.exec_module(module)
-    return module
+    return load_tool("bench_ingest")
 
 
 def test_bench_ingest_measures_both_readers(bench_ingest, tmp_path):
     root = write_hapt_layout(tmp_path / "hapt", n_rows=40, seed=3)
-    full = bench_ingest.measure(root, 1)
-    assert set(full["load_hapt_s"]) == set(bench_ingest.READERS)
-    assert all(mb > 0 for mb in full["peak_rss_mb"].values())
-    columns = bench_ingest.measure_columns(root, 1)
-    assert set(columns["load_body_acc_s"]) == set(bench_ingest.BODY_ACC)
-    assert all(mb > 0 for mb in columns["peak_rss_mb"].values())
+    for _, sides in bench_ingest.KINDS.values():
+        record = bench_ingest.measure(root, 1, sides)
+        first = next(iter(sides))
+        for timing in (record["load_s"], record["parse_s"]):
+            assert set(timing) == {*sides, f"pairs_won_by_{first}"}
+            assert timing[first]["runs"] == 1
+        assert set(record["peak_rss_mb"]) == set(sides)
+        assert all(mb > 0 for mb in record["peak_rss_mb"].values())

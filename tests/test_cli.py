@@ -70,9 +70,9 @@ def test_each_command_formats_its_matrix_once(capsys, data_dir, tmp_path,
     shapes = []
     repr_rows = floattext.repr_rows
 
-    def counted(table, sep):
+    def counted(table):
         shapes.append(table.shape)
-        return repr_rows(table, sep)
+        return repr_rows(table)
 
     monkeypatch.setattr(floattext, "repr_rows", counted)
     monkeypatch.setattr(dataset, "repr_rows", counted)

@@ -17,7 +17,7 @@ from harboost.dataset import (
     stratified_folds,
     summarize_by_activity,
 )
-from harboost.synthetic import make_activity_dataset
+from harboost.synthetic import make_activity_dataset, write_hapt_layout
 
 from conftest import requires_hapt
 
@@ -89,6 +89,12 @@ def test_load_hapt_layout_roundtrip(synthetic_hapt_dir):
     assert sel.n_features == 15
     assert sel.feature_names == BODY_ACC_FEATURES
     assert sel.n_rows == ds.n_rows
+
+
+def test_a_hapt_layout_too_narrow_is_rejected_before_any_file(tmp_path):
+    with pytest.raises(ValueError, match="15 modeled columns"):
+        write_hapt_layout(tmp_path / "hapt", total_features=14)
+    assert not (tmp_path / "hapt").exists()
 
 
 def test_load_hapt_missing_file(tmp_path):

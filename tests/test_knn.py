@@ -154,39 +154,28 @@ def test_oracle_pin_data_has_boundary_ties():
 
 
 def test_vote_scores_equal_add_at_oracle_in_table_order():
+    # one set of cells votes every round's weights
     rng = np.random.default_rng(5)
     n, n_classes = 1800, 12
     rows, queries = _tie_data(n, seed=11), _tie_data(1025, seed=12)
     table = neighbor_table(rows, queries, 12)
     label_idx = rng.integers(0, n_classes, n)
-    # weights over eight decades: the sum's bits depend on its order
-    weights = 10.0 ** rng.uniform(-8.0, 0.0, n)
-    want = oracles.knn_vote_scores(table, label_idx, weights, n_classes)
-    got = vote_scores(table, label_idx, weights, n_classes)
-    assert np.array_equal(got, want)
-    reordered = oracles.knn_vote_scores(table[:, ::-1], label_idx, weights,
-                                        n_classes)
-    assert not np.array_equal(reordered, want)
-
-
-def test_vote_scores_of_built_cells_equal_vote_scores():
-    rng = np.random.default_rng(6)
-    n, n_classes = 1800, 12
-    rows, queries = _tie_data(n, seed=13), _tie_data(700, seed=14)
-    table = neighbor_table(rows, queries, 12)
-    label_idx = rng.integers(0, n_classes, n)
     cells = vote_cells(table, label_idx, n_classes)
     for _ in range(3):
+        # weights over eight decades: the sum's bits depend on its order
         weights = 10.0 ** rng.uniform(-8.0, 0.0, n)
-        want = vote_scores(table, label_idx, weights, n_classes)
-        got = vote_scores(table, None, weights, n_classes, cells)
+        want = oracles.knn_vote_scores(table, label_idx, weights, n_classes)
+        got = vote_scores(table, cells, weights, n_classes)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        reordered = oracles.knn_vote_scores(table[:, ::-1], label_idx,
+                                            weights, n_classes)
+        assert not np.array_equal(reordered, want)
 
 
 def test_round_scorer_votes_through_one_set_of_cells(monkeypatch):
     # rounds over the same labels reuse round 1's vote cells; a model
-    # whose class ids differ builds its own, and every prediction is the
-    # model's own predict_batch
+    # whose class ids differ votes through its own, and every prediction
+    # is the model's own predict_batch
     ds = make_activity_dataset(150, 4, 3, seed=23, spread=0.5)
     rng = np.random.default_rng(7)
     models = [spec(5).fit_weighted(ds, rng.uniform(0.01, 1.0, ds.n_rows))
@@ -196,15 +185,16 @@ def test_round_scorer_votes_through_one_set_of_cells(monkeypatch):
     X = make_activity_dataset(40, 4, 3, seed=24, spread=0.5).features
     real, given_cells = knn.vote_scores, []
 
-    def recorded(table, label_idx, weights, n_classes, cells=None):
-        given_cells.append(cells is not None)
-        return real(table, label_idx, weights, n_classes, cells)
+    def recorded(table, cells, weights, n_classes):
+        given_cells.append(cells)
+        return real(table, cells, weights, n_classes)
 
     monkeypatch.setattr(knn, "vote_scores", recorded)
     score = models[0].round_scorer(X)
     got = [score(m) for m in models]
     monkeypatch.undo()
-    assert given_cells == [True, True, True, False]
+    first, *rest, other = given_cells
+    assert all(cells is first for cells in rest) and other is not first
     for m, pred in zip(models, got):
         assert np.array_equal(pred, m.predict_batch(X))
 

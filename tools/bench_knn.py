@@ -24,32 +24,28 @@ each pair, because this machine's speed drifts within minutes:
     cost shows.
 
 Tables and outputs are not compared here: the tests and perfbench's
-golden digests check them. The JSON written holds each side's medians
-and quartiles, the pairs the change won, and the machine: CPU, numpy's
-SIMD baseline, dispatch targets and CPU features, and the BLAS build.
-BLAS is pinned to one thread.
+golden digests check them. The record, "knn", holds each side's
+medians and quartiles, the pairs the change won, and the machine; the
+file keeps every earlier record (tools/pairs.py).
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
+import json
 import os
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
 
-os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                   "MKL_NUM_THREADS": "1"})
+from pairs import ROOT, alternating, compare, environment, keep
 
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 #: (rows, repetitions per process) of the neighbor-table timings
 TABLE_SIZES = ((2000, 7), (7767, 3))
@@ -119,21 +115,46 @@ def run_worker(kind: str, src: Path, data: Path, env=None) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "quartiles": [q1, q3], "runs": len(values)}
+def compare_metrics(runs: dict) -> dict:
+    """Per metric: compare() of the sides' values."""
+    return {metric: compare({side: [r[metric] for r in rs]
+                             for side, rs in runs.items()})
+            for metric in runs["change"][0]}
 
 
-def compare(runs: dict) -> dict:
-    """Per metric: each side's summary and the pairs the change won."""
-    out = {}
-    for metric in runs["change"][0]:
-        sides = {side: [r[metric] for r in rs] for side, rs in runs.items()}
-        out[metric] = {side: summary(v) for side, v in sides.items()}
-        if "baseline" in sides:
-            out[metric]["pairs_won_by_change"] = sum(
-                c < b for b, c in zip(sides["baseline"], sides["change"]))
-    return out
+def measure(baseline: Path, pairs: int, data: Path) -> dict:
+    """The record of pairs alternating runs of this checkout and the
+    baseline on the headline inputs under data."""
+    trees = {"change": ROOT / "src", "baseline": baseline / "src"}
+    runs = {kind: {side: [] for side in trees}
+            for kind in ("table", "headline", "evaluate")}
+    fixed = {kind: {"change": []} for kind in ("headline", "evaluate")}
+    for order in alternating(pairs, trees):
+        for side in order:
+            for kind, side_runs in runs.items():
+                side_runs[side].append(run_worker(kind, trees[side], data))
+        for kind, side_runs in fixed.items():
+            side_runs["change"].append(run_worker(
+                kind, trees["change"], data, {"GLIBC_TUNABLES": FIXED_MALLOC}))
+    return {
+        "benchmark": "k-NN neighbor tables and the headline pipeline, this "
+                     "checkout against a baseline checkout, alternating "
+                     "single-version processes",
+        "command": f"python3 tools/bench_knn.py --baseline DIR --pairs {pairs}",
+        "environment": environment(),
+        "neighbor_table_s": compare_metrics(runs["table"]),
+        "headline": {
+            "rows": HEADLINE_ROWS, "seed": HEADLINE_SEED,
+            "iterations_per_process": HEADLINE_ITERATIONS,
+            "pipeline": compare_metrics(runs["headline"]),
+            "evaluate_repeated": compare_metrics(runs["evaluate"]),
+            "fixed_malloc_thresholds": {
+                "tunables": FIXED_MALLOC,
+                "pipeline": compare_metrics(fixed["headline"]),
+                "evaluate_repeated": compare_metrics(fixed["evaluate"]),
+            },
+        },
+    }
 
 
 def main(argv=None) -> int:
@@ -150,49 +171,13 @@ def main(argv=None) -> int:
     if not args.baseline:
         parser.error("--baseline is required")
 
-    sys.path.insert(0, str(ROOT / "tools"))
-    from bench_ingest import environment
-
-    trees = {"change": ROOT / "src", "baseline": Path(args.baseline) / "src"}
-    runs = {kind: {side: [] for side in trees}
-            for kind in ("table", "headline", "evaluate")}
-    fixed = {kind: {"change": []} for kind in ("headline", "evaluate")}
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "headline"
         subprocess.run([sys.executable, str(PERFBENCH / "setup_inputs.py"),
                         "headline", str(HEADLINE_ROWS), str(HEADLINE_SEED),
                         str(data)], check=True)
-        for i in range(args.pairs):
-            for side in trees if i % 2 == 0 else list(trees)[::-1]:
-                for kind, side_runs in runs.items():
-                    side_runs[side].append(run_worker(kind, trees[side], data))
-            for kind, side_runs in fixed.items():
-                side_runs["change"].append(run_worker(
-                    kind, trees["change"], data,
-                    {"GLIBC_TUNABLES": FIXED_MALLOC}))
-    record = {
-        "benchmark": "k-NN neighbor tables and the headline pipeline, this "
-                     "checkout against a baseline checkout, alternating "
-                     "single-version processes",
-        "command": f"python3 tools/bench_knn.py --baseline DIR --pairs "
-                   f"{args.pairs}",
-        "environment": environment(),
-        "neighbor_table_s": compare(runs["table"]),
-        "headline": {
-            "rows": HEADLINE_ROWS, "seed": HEADLINE_SEED,
-            "iterations_per_process": HEADLINE_ITERATIONS,
-            "pipeline": compare(runs["headline"]),
-            "evaluate_repeated": compare(runs["evaluate"]),
-            "fixed_malloc_thresholds": {
-                "tunables": FIXED_MALLOC,
-                "pipeline": compare(fixed["headline"]),
-                "evaluate_repeated": compare(fixed["evaluate"]),
-            },
-        },
-    }
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    Path(args.out).write_text(text)
-    print(text, end="")
+        record = measure(Path(args.baseline), args.pairs, data)
+    print(keep(Path(args.out), "knn", record), end="")
     return 0
 
 
