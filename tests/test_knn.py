@@ -154,22 +154,35 @@ def test_oracle_pin_data_has_boundary_ties():
 
 
 def test_vote_scores_equal_add_at_oracle_in_table_order():
-    # one set of cells votes every round's weights
     rng = np.random.default_rng(5)
     n, n_classes = 1800, 12
     rows, queries = _tie_data(n, seed=11), _tie_data(1025, seed=12)
     table = neighbor_table(rows, queries, 12)
     label_idx = rng.integers(0, n_classes, n)
+    # weights over eight decades: the sum's bits depend on its order
+    weights = 10.0 ** rng.uniform(-8.0, 0.0, n)
+    want = oracles.knn_vote_scores(table, label_idx, weights, n_classes)
+    got = vote_scores(table, vote_cells(table, label_idx, n_classes),
+                      weights, n_classes)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    reordered = oracles.knn_vote_scores(table[:, ::-1], label_idx, weights,
+                                        n_classes)
+    assert not np.array_equal(reordered, want)
+
+
+def test_vote_scores_of_built_cells_equal_vote_scores():
+    # one set of built cells votes every round's weights, bit for bit
+    rng = np.random.default_rng(6)
+    n, n_classes = 1800, 12
+    rows, queries = _tie_data(n, seed=13), _tie_data(700, seed=14)
+    table = neighbor_table(rows, queries, 12)
+    label_idx = rng.integers(0, n_classes, n)
     cells = vote_cells(table, label_idx, n_classes)
     for _ in range(3):
-        # weights over eight decades: the sum's bits depend on its order
         weights = 10.0 ** rng.uniform(-8.0, 0.0, n)
         want = oracles.knn_vote_scores(table, label_idx, weights, n_classes)
         got = vote_scores(table, cells, weights, n_classes)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        reordered = oracles.knn_vote_scores(table[:, ::-1], label_idx,
-                                            weights, n_classes)
-        assert not np.array_equal(reordered, want)
 
 
 def test_round_scorer_votes_through_one_set_of_cells(monkeypatch):
