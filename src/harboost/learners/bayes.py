@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..numerics import (
     LIKELIHOOD_FLOOR,
@@ -69,53 +71,39 @@ class KernelNbModel(FieldPayload):
     bandwidths: np.ndarray  # (K, d)
 
     def predict_batch(self, X) -> np.ndarray:
-        return self.class_ids[self.log_scores(X).argmax(axis=1)]
+        return self.round_scorer(X)(self)
+
+    def round_scorer(self, X):
+        """score(m) -> m's predictions for X: class_ids[m.log_scores(X)
+        .argmax(axis=1)], ties to the lowest index. The grid of X (_Grid)
+        depends on the samples alone, so every kernel-NB model over these
+        same sample arrays is bounded on one grid; any other model
+        predicts on its own, and a call too small for a grid to pay, or
+        whose values fit none, scores exactly."""
+        X = np.asarray(X, dtype=np.float64)
+        grid = _Grid.of(self.samples, X)
+
+        def score(m) -> np.ndarray:
+            if not isinstance(m, KernelNbModel) or not _same_arrays(
+                    m.samples, self.samples):
+                return m.predict_batch(X)
+            if grid is None:
+                return m.class_ids[m.log_scores(X).argmax(axis=1)]
+            return m.class_ids[grid.argmax(m)]
+
+        return score
 
     def log_scores(self, X) -> np.ndarray:
-        """(q, K) log prior plus summed log likelihood of each query.
-
-        Queries are scored a block at a time. A block is tiled once
-        across the largest class, and each class runs the kernel ops in
-        place on contiguous (rows, n_c * d) views of two scratch
-        buffers, in the order of the plain expression
-        log(max(sum_j w_j exp((-0.5 z) z) / (h sqrt(2 pi)), floor)),
-        z = (x - x_j) / h. The weighted sum adds the samples in order,
-        so a score does not depend on the block size.
-        """
+        """(q, K) log prior plus summed log likelihood of each query,
+        scored a block at a time by _Exact."""
         X = np.asarray(X, dtype=np.float64)
-        d = self.bandwidths.shape[1]
-        sizes = [s.shape[0] for s in self.samples]
-        cells = max(sizes) * d
-        block = max(1, min(X.shape[0], _BLOCK_CELLS // cells))
-        tiled = np.empty((block, cells))
-        z_buf = np.empty(block * cells)
-        k_buf = np.empty(block * cells)
-        dens_buf = np.empty((block, len(sizes), d))
-        flat = [s.ravel() for s in self.samples]
-        h_rows = [np.tile(h, n) for h, n in zip(self.bandwidths, sizes)]
-        norms = self.bandwidths * np.sqrt(2.0 * np.pi)
-        log_priors = np.log(self.priors)
+        exact = _Exact(self, X.shape[0])
         scores = np.empty((X.shape[0], len(self.class_ids)))
-        for start in range(0, X.shape[0], block):
-            q = X[start:start + block]
-            r = q.shape[0]
-            tiled[:r].reshape(r, -1, d)[...] = q[:, None, :]
-            dens = dens_buf[:r]
-            for c, n in enumerate(sizes):
-                m = n * d
-                z = z_buf[:r * m].reshape(r, m)
-                k = k_buf[:r * m].reshape(r, m)
-                np.subtract(tiled[:r, :m], flat[c], out=z)
-                np.divide(z, h_rows[c], out=z)
-                np.multiply(z, -0.5, out=k)
-                np.multiply(k, z, out=k)
-                np.exp(k, out=k)
-                np.einsum("qnd,n->qd", k.reshape(r, n, d),
-                          self.sample_weights[c], out=dens[:, c])
-            np.divide(dens, norms, out=dens)
-            np.maximum(dens, LIKELIHOOD_FLOOR, out=dens)
-            np.log(dens, out=dens)
-            scores[start:start + r] = log_priors + dens.sum(axis=2)
+        for start in range(0, X.shape[0], exact.block):
+            q = X[start:start + exact.block]
+            exact.tile(q, exact.tiled.shape[1])
+            for c in range(len(self.class_ids)):
+                exact.score(c, q.shape[0], scores[start:start + len(q), c])
         return scores
 
     def check(self, n_features: int) -> None:
@@ -128,6 +116,251 @@ class KernelNbModel(FieldPayload):
         for c, (x, w) in enumerate(zip(self.samples, self.sample_weights)):
             n_c = check_rows(f"samples[{c}]", x, n_features)
             check_array(f"sample_weights[{c}]", w, (n_c,))
+
+
+def _same_arrays(a: tuple, b: tuple) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+class _Exact:
+    """Kernel-NB scores of one class for a block of query rows.
+
+    A block is tiled across the class's n_c samples, and the kernel ops
+    run in place on contiguous (rows, n_c * d) views of two scratch
+    buffers, in the order of the plain expression
+    log(max(sum_j w_j exp((-0.5 z) z) / (h sqrt(2 pi)), floor)),
+    z = (x - x_j) / h. The weighted sum adds the samples in order, so a
+    score depends on its query row alone, not on the block it is in.
+    """
+
+    def __init__(self, model: KernelNbModel, rows: int):
+        self.sizes = [s.shape[0] for s in model.samples]
+        self.d = d = model.bandwidths.shape[1]
+        cells = max(self.sizes) * d
+        self.block = block = max(1, min(rows, _BLOCK_CELLS // cells))
+        self.tiled = np.empty((block, max(self.sizes), d))
+        self.z_buf = np.empty(block * cells)
+        self.k_buf = np.empty(block * cells)
+        self.dens = np.empty((block, d))
+        self.flat = [s.ravel() for s in model.samples]
+        self.h_rows = [np.tile(h, n)
+                       for h, n in zip(model.bandwidths, self.sizes)]
+        self.weights = model.sample_weights
+        self.norms = model.bandwidths * np.sqrt(2.0 * np.pi)
+        self.log_priors = np.log(model.priors)
+
+    def tile(self, q: np.ndarray, n: int) -> None:
+        """Tile the query rows q across n samples."""
+        self.tiled[:len(q), :n] = q[:, None, :]
+
+    def score(self, c: int, r: int, out: np.ndarray) -> None:
+        """Class c's scores of the first r tiled rows, into out."""
+        n, d = self.sizes[c], self.d
+        m = n * d
+        z = self.z_buf[:r * m].reshape(r, m)
+        k = self.k_buf[:r * m].reshape(r, m)
+        np.subtract(self.tiled[:r, :n].reshape(r, m), self.flat[c], out=z)
+        np.divide(z, self.h_rows[c], out=z)
+        np.multiply(z, -0.5, out=k)
+        np.multiply(k, z, out=k)
+        np.exp(k, out=k)
+        dens = self.dens[:r]
+        np.einsum("qnd,n->qd", k.reshape(r, n, d), self.weights[c], out=dens)
+        np.divide(dens, self.norms[c], out=dens)
+        np.maximum(dens, LIKELIHOOD_FLOOR, out=dens)
+        np.log(dens, out=dens)
+        np.add(self.log_priors[c], dens.sum(axis=1), out=out)
+
+    def rows(self, c: int, Q: np.ndarray) -> np.ndarray:
+        """Class c's scores of the query rows Q."""
+        out = np.empty(len(Q))
+        for start in range(0, len(Q), self.block):
+            q = Q[start:start + self.block]
+            self.tile(q, self.sizes[c])
+            self.score(c, len(q), out[start:start + len(q)])
+        return out
+
+
+def _grid_cells(queries: int, samples: int, classes: int) -> int | None:
+    """G, the cells per feature of a grid for a call that scores queries x
+    samples kernel cells per feature over `classes` classes, or None when
+    the exact path is faster.
+
+    A round's bound work grows as classes * G^2 and the exact cells its
+    bounds leave as queries * samples / G, since their gap shrinks as the
+    cell width, so the sum is least at G^3 proportional to the kernel
+    cells per class, queries * samples / classes; d scales both. G is
+    3 times its cube root, to the nearest power of two: measured best
+    from 150 queries x 450 samples (G = 64) to 7767 x 7000 (G = 512), 12
+    classes. Below _MIN_CELLS cells per class the exact path is faster.
+    """
+    cells = queries * samples / classes
+    if cells < _MIN_CELLS:
+        return None
+    return min(1 << round(math.log2(3.0 * cells ** (1 / 3))), _GRID_MAX)
+
+
+_MIN_CELLS, _GRID_MAX = 2048, 4096
+#: slack added to each end of a cell-to-cell distance, in cells. A
+#: value's cell floor((x - lo) / width) takes four roundings (the span,
+#: the width, x - lo and the divide), so the value lies within 4 u G cells
+#: of it, u = 2^-53; this covers that for any G up to 2^21.
+_CELL_SLACK = 2.0 ** -30
+
+
+class _Grid:
+    """A grid over X and a tuple of sample arrays, and the argmax of a
+    model over those samples decided from density bounds on it.
+
+    Each feature's range over the finite query rows and the samples is
+    cut into G cells of one width. A value's cell is
+    floor((x - lo) / width), clipped to the last cell. Every class's
+    weights binned on the samples' cells bound its density at a query:
+    the kernel of a sample in cell j at a query in cell g lies between
+    its values at the least and the greatest distance between the two
+    cells, so one Toeplitz product of each class's bins with the kernel
+    at each cell offset gives an upper and a lower density bound for
+    every cell, and the same floor and log give bounds on every log
+    likelihood and every score.
+    """
+
+    @classmethod
+    def of(cls, samples: tuple, X: np.ndarray):
+        """The grid, or None when X scores exactly: a call too small for
+        a grid to pay, a shape the exact path must judge, no finite
+        query row, or a feature of zero or non-finite range."""
+        d = samples[0].shape[1]
+        if X.ndim != 2 or X.shape[1] != d:
+            return None
+        sizes = [s.shape[0] for s in samples]
+        G = _grid_cells(X.shape[0], sum(sizes), len(samples))
+        finite = np.isfinite(X).all(axis=1)
+        if G is None or not finite.any():
+            return None
+        stacked = np.concatenate(samples)
+        lo = np.minimum(stacked.min(axis=0), X[finite].min(axis=0))
+        width = (np.maximum(stacked.max(axis=0), X[finite].max(axis=0))
+                 - lo) / G
+        if not (np.isfinite(width)
+                & (width >= np.finfo(np.float64).tiny)).all():
+            return None
+        return cls(samples, stacked, X, finite, G, lo, width)
+
+    def __init__(self, samples, stacked, X, finite, G, lo, width):
+        d = X.shape[1]
+        self.X, self.finite, self.G, self.d = X, finite, G, d
+        self.queries = X[finite]
+        self.sizes = [s.shape[0] for s in samples]
+
+        def cells(V):
+            return np.minimum(np.floor((V - lo) / width), G - 1).astype(
+                np.intp) + np.arange(d) * G
+
+        # each finite query's cell per feature, as an index into (d * G)
+        self.query_cells = cells(self.queries)
+        # each sample's bin per feature, as an index into (C * d * G)
+        owner = np.repeat(np.arange(len(samples)), self.sizes)
+        self.sample_bins = (cells(stacked)
+                            + (owner * d * G)[:, None]).ravel()
+        # the least and the greatest distance at each cell offset, (d, G)
+        offsets = np.arange(G, dtype=np.float64)
+        self.spans = np.stack([
+            np.maximum(offsets - 1.0 - _CELL_SLACK, 0.0),
+            offsets + 1.0 + _CELL_SLACK,
+        ])[:, None, :] * width[:, None]
+
+    def bounds(self, m: KernelNbModel) -> np.ndarray:
+        """(2, finite queries, C): upper and lower bounds on m's scores."""
+        C, d, G = len(m.class_ids), self.d, self.G
+        w = np.concatenate(m.sample_weights)
+        bins = np.bincount(self.sample_bins, weights=np.repeat(w, d),
+                           minlength=C * d * G).reshape(C, d, G)
+        z = self.spans[:, None, :, :] / m.bandwidths[None, :, :, None]
+        kern = np.exp(-0.5 * z * z)  # (2, C, d, G), at offsets 0..G-1
+        full = np.concatenate([kern[..., :0:-1], kern], axis=-1)
+        dens = np.einsum("bcfgi,cfi->bcfg",
+                         sliding_window_view(full, G, axis=-1),
+                         np.ascontiguousarray(bins[..., ::-1]))
+        dens /= (m.bandwidths * np.sqrt(2.0 * np.pi))[:, :, None]
+        np.maximum(dens, LIKELIHOOD_FLOOR, out=dens)
+        np.log(dens, out=dens)
+        table = np.ascontiguousarray(
+            dens.transpose(0, 2, 3, 1)).reshape(2, d * G, C)
+        out = np.take(table, self.query_cells[:, 0], axis=1)
+        part = np.empty_like(out)
+        for f in range(1, d):
+            out += np.take(table, self.query_cells[:, f], axis=1, out=part)
+        out += np.log(m.priors)
+        return out
+
+    def margin(self, m: KernelNbModel) -> float:
+        """How far apart two computed bounds or scores must be for their
+        true values to be ordered; see the derivation below."""
+        u, d = 2.0 ** -53, self.d
+        n = max(self.sizes) + self.G
+        # Every term of either path is a non-negative sum; its relative
+        # error is at most gamma_n, n the longer sum (n_c samples in the
+        # exact einsum; n_c weights in a bin then G bins in the Toeplitz
+        # product), plus 4500 u for a kernel value (its argument
+        # -0.5 z^2 carries 6 u relative error, at most 6 u * 745
+        # absolute where exp is above 0, plus the exp itself) and 16 u
+        # for the norm h sqrt(2 pi) and the divide.
+        rho = (n + 4500 + 16) * u
+        # exp's results below the least normal float, and products of
+        # them, lose up to one subnormal unit each: an absolute error,
+        # relative to the floor once divided by the norm.
+        w_max = max(1.0, max(float(w.max()) for w in m.sample_weights))
+        alpha = (4.0 * n * w_max * 2.0 ** -1074
+                 / (float(m.bandwidths.min()) * np.sqrt(2.0 * np.pi))
+                 / LIKELIHOOD_FLOOR)
+        # max(., floor) then log: 1.01 rho + alpha, plus the log's own
+        # rounding, at most 2980 u for a log of magnitude <= 745 (every
+        # positive double's). A score sums d such logs and the log
+        # prior, adding at most d (d + 1) 745 u, doubled to cover the
+        # comparison's own addition.
+        per_score = (d * (1.01 * rho + alpha + 2980 * u)
+                     + 2 * (d + 1) ** 2 * 745 * u)
+        # a decision compares a computed bound with another, each within
+        # per_score of its true value, which are within per_score of the
+        # computed exact scores they bound
+        return 4 * per_score
+
+    def argmax(self, m: KernelNbModel) -> np.ndarray:
+        """log_scores(X).argmax(axis=1) of a model over these samples."""
+        X, finite = self.X, self.finite
+        out = np.empty(X.shape[0], dtype=np.intp)
+        if (~finite).any():
+            out[~finite] = m.log_scores(X[~finite]).argmax(axis=1)
+        if any((w < 0).any() for w in m.sample_weights):
+            out[finite] = m.log_scores(X[finite]).argmax(axis=1)
+            return out
+        upper, lower = self.bounds(m)
+        margin = self.margin(m)
+        rows = np.arange(len(upper))
+        lead = lower.argmax(axis=1)
+        rivals = upper.copy()
+        rivals[rows, lead] = -np.inf
+        # decided: the leader's lower bound clears every rival's upper
+        decided = lower[rows, lead] > rivals.max(axis=1) + margin
+        left = np.flatnonzero(~decided)
+        if len(left):
+            Q, lead_left = self.queries[left], lead[left]
+            exact = _Exact(m, len(left))
+            scores = np.full((len(left), len(m.class_ids)), -np.inf)
+            at = np.arange(len(left))
+            for c in np.unique(lead_left):
+                sel = lead_left == c
+                scores[sel, c] = exact.rows(c, Q[sel])
+            # a rival is scored when its upper bound reaches the
+            # leader's exact score; any other scores below it
+            reach = rivals[left] + margin >= scores[at, lead_left][:, None]
+            for c in range(len(m.class_ids)):
+                sel = reach[:, c]
+                if sel.any():
+                    scores[sel, c] = exact.rows(c, Q[sel])
+            lead[left] = scores.argmax(axis=1)
+        out[finite] = lead
+        return out
 
 
 def fit_kernel_nb(ds, w) -> KernelNbModel:

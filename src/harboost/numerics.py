@@ -30,6 +30,9 @@ def check_weights(w, n: int) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError(f"weight vector has shape {w.shape}, expected ({n},)")
+    if not np.isfinite(w).all():
+        bad = w[~np.isfinite(w)][0]
+        raise ValueError(f"weights must be finite, got {bad}")
     if (w < 0).any():
         raise ValueError("weights must be non-negative")
     if w.sum() <= 0:

@@ -52,6 +52,9 @@ def test_check_weights_errors():
         check_weights([1.0, -1.0], 2)
     with pytest.raises(ValueError, match="positive"):
         check_weights([0.0, 0.0], 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            check_weights([1.0, bad], 2)
 
 
 def test_weighted_covariance_single_row_zero():
