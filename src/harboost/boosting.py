@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ActivityLabel, Dataset
-from .learners import fit_group
+from .learners import fit_group, predict
 
 #: Lower clamp on the weighted error, bounding alpha at ln(1e10) + ln(K-1).
 EPSILON_CLAMP = 1e-10
@@ -160,7 +160,4 @@ def boost_predict_batch(ens: BoostedEnsemble, X) -> np.ndarray:
 
 
 def boost_predict(ens: BoostedEnsemble, x) -> ActivityLabel:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("boost_predict expects a single feature vector")
-    return ActivityLabel(int(boost_predict_batch(ens, x[None, :])[0]))
+    return predict(ens, x)

@@ -22,7 +22,7 @@ from ..numerics import (
 )
 
 # (query x sample x feature) kernel cells a kernel-NB block scores at
-# once; each of its three scratch buffers holds this many float64s
+# once; each of its temporaries holds this many float64s
 _BLOCK_CELLS = 1 << 16
 
 
@@ -78,8 +78,8 @@ class KernelNbModel(FieldPayload):
         .argmax(axis=1)], ties to the lowest index. The grid of X (_Grid)
         depends on the samples alone, so every kernel-NB model over these
         same sample arrays is bounded on one grid; any other model
-        predicts on its own, and a call too small for a grid to pay, or
-        whose values fit none, scores exactly."""
+        predicts on its own, and a call whose values fit no grid scores
+        exactly."""
         X = np.asarray(X, dtype=np.float64)
         grid = _Grid.of(self.samples, X)
 
@@ -94,17 +94,10 @@ class KernelNbModel(FieldPayload):
         return score
 
     def log_scores(self, X) -> np.ndarray:
-        """(q, K) log prior plus summed log likelihood of each query,
-        scored a block at a time by _Exact."""
+        """(q, K) log prior plus summed log likelihood of each query."""
         X = np.asarray(X, dtype=np.float64)
-        exact = _Exact(self, X.shape[0])
-        scores = np.empty((X.shape[0], len(self.class_ids)))
-        for start in range(0, X.shape[0], exact.block):
-            q = X[start:start + exact.block]
-            exact.tile(q, exact.tiled.shape[1])
-            for c in range(len(self.class_ids)):
-                exact.score(c, q.shape[0], scores[start:start + len(q), c])
-        return scores
+        return np.stack([_class_scores(self, c, X)
+                         for c in range(len(self.class_ids))], axis=1)
 
     def check(self, n_features: int) -> None:
         K = len(self.class_ids)
@@ -122,69 +115,38 @@ def _same_arrays(a: tuple, b: tuple) -> bool:
     return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
-class _Exact:
-    """Kernel-NB scores of one class for a block of query rows.
-
-    A block is tiled across the class's n_c samples, and the kernel ops
-    run in place on contiguous (rows, n_c * d) views of two scratch
-    buffers, in the order of the plain expression
-    log(max(sum_j w_j exp((-0.5 z) z) / (h sqrt(2 pi)), floor)),
-    z = (x - x_j) / h. The weighted sum adds the samples in order, so a
-    score depends on its query row alone, not on the block it is in.
-    """
-
-    def __init__(self, model: KernelNbModel, rows: int):
-        self.sizes = [s.shape[0] for s in model.samples]
-        self.d = d = model.bandwidths.shape[1]
-        cells = max(self.sizes) * d
-        self.block = block = max(1, min(rows, _BLOCK_CELLS // cells))
-        self.tiled = np.empty((block, max(self.sizes), d))
-        self.z_buf = np.empty(block * cells)
-        self.k_buf = np.empty(block * cells)
-        self.dens = np.empty((block, d))
-        self.flat = [s.ravel() for s in model.samples]
-        self.h_rows = [np.tile(h, n)
-                       for h, n in zip(model.bandwidths, self.sizes)]
-        self.weights = model.sample_weights
-        self.norms = model.bandwidths * np.sqrt(2.0 * np.pi)
-        self.log_priors = np.log(model.priors)
-
-    def tile(self, q: np.ndarray, n: int) -> None:
-        """Tile the query rows q across n samples."""
-        self.tiled[:len(q), :n] = q[:, None, :]
-
-    def score(self, c: int, r: int, out: np.ndarray) -> None:
-        """Class c's scores of the first r tiled rows, into out."""
-        n, d = self.sizes[c], self.d
-        m = n * d
-        z = self.z_buf[:r * m].reshape(r, m)
-        k = self.k_buf[:r * m].reshape(r, m)
-        np.subtract(self.tiled[:r, :n].reshape(r, m), self.flat[c], out=z)
-        np.divide(z, self.h_rows[c], out=z)
-        np.multiply(z, -0.5, out=k)
-        np.multiply(k, z, out=k)
+def _class_scores(m: KernelNbModel, c: int, X: np.ndarray) -> np.ndarray:
+    """Class c's scores of the query rows X,
+    log prior + sum_f log(max(sum_j w_j exp((-0.5 z) z) / (h sqrt(2 pi)),
+    floor)), z = (x - x_j) / h, about _BLOCK_CELLS kernel cells a block.
+    The weighted sum adds the samples in order, so a score depends on its
+    query row alone, not on the block it is in."""
+    x, w, h = m.samples[c], m.sample_weights[c], m.bandwidths[c]
+    norm = h * np.sqrt(2.0 * np.pi)
+    log_prior = np.log(m.priors[c])
+    block = max(1, _BLOCK_CELLS // x.size)
+    out = np.empty(len(X))
+    for start in range(0, len(X), block):
+        q = X[start:start + block]
+        # C order, whatever the layout of X or x: exp and the einsum's
+        # sums then run as on every other call
+        z = np.subtract(q[:, None, :], x, order="C")
+        z /= h
+        k = z * -0.5
+        k *= z
         np.exp(k, out=k)
-        dens = self.dens[:r]
-        np.einsum("qnd,n->qd", k.reshape(r, n, d), self.weights[c], out=dens)
-        np.divide(dens, self.norms[c], out=dens)
+        dens = np.einsum("qnd,n->qd", k, w)
+        dens /= norm
         np.maximum(dens, LIKELIHOOD_FLOOR, out=dens)
         np.log(dens, out=dens)
-        np.add(self.log_priors[c], dens.sum(axis=1), out=out)
-
-    def rows(self, c: int, Q: np.ndarray) -> np.ndarray:
-        """Class c's scores of the query rows Q."""
-        out = np.empty(len(Q))
-        for start in range(0, len(Q), self.block):
-            q = Q[start:start + self.block]
-            self.tile(q, self.sizes[c])
-            self.score(c, len(q), out[start:start + len(q)])
-        return out
+        out[start:start + len(q)] = log_prior + dens.sum(axis=1)
+    return out
 
 
-def _grid_cells(queries: int, samples: int, classes: int) -> int | None:
-    """G, the cells per feature of a grid for a call that scores queries x
-    samples kernel cells per feature over `classes` classes, or None when
-    the exact path is faster.
+def _grid_cells(queries: int, samples: int, classes: int) -> int:
+    """G, the cells per feature of a grid for a call that scores queries
+    (at least one) x samples kernel cells per feature over `classes`
+    classes.
 
     A round's bound work grows as classes * G^2 and the exact cells its
     bounds leave as queries * samples / G, since their gap shrinks as the
@@ -192,15 +154,14 @@ def _grid_cells(queries: int, samples: int, classes: int) -> int | None:
     cells per class, queries * samples / classes; d scales both. G is
     3 times its cube root, to the nearest power of two: measured best
     from 150 queries x 450 samples (G = 64) to 7767 x 7000 (G = 512), 12
-    classes. Below _MIN_CELLS cells per class the exact path is faster.
+    classes. Each class has a sample, so a call of one query takes G = 4
+    or more.
     """
     cells = queries * samples / classes
-    if cells < _MIN_CELLS:
-        return None
     return min(1 << round(math.log2(3.0 * cells ** (1 / 3))), _GRID_MAX)
 
 
-_MIN_CELLS, _GRID_MAX = 2048, 4096
+_GRID_MAX = 4096
 #: slack added to each end of a cell-to-cell distance, in cells. A
 #: value's cell floor((x - lo) / width) takes four roundings (the span,
 #: the width, x - lo and the divide), so the value lies within 4 u G cells
@@ -226,17 +187,17 @@ class _Grid:
 
     @classmethod
     def of(cls, samples: tuple, X: np.ndarray):
-        """The grid, or None when X scores exactly: a call too small for
-        a grid to pay, a shape the exact path must judge, no finite
-        query row, or a feature of zero or non-finite range."""
+        """The grid, or None when X scores exactly: a shape the exact
+        path must judge, no finite query row (no row at all included),
+        or a feature of zero or non-finite range."""
         d = samples[0].shape[1]
         if X.ndim != 2 or X.shape[1] != d:
             return None
-        sizes = [s.shape[0] for s in samples]
-        G = _grid_cells(X.shape[0], sum(sizes), len(samples))
         finite = np.isfinite(X).all(axis=1)
-        if G is None or not finite.any():
+        if not finite.any():
             return None
+        G = _grid_cells(X.shape[0], sum(s.shape[0] for s in samples),
+                        len(samples))
         stacked = np.concatenate(samples)
         lo = np.minimum(stacked.min(axis=0), X[finite].min(axis=0))
         width = (np.maximum(stacked.max(axis=0), X[finite].max(axis=0))
@@ -345,19 +306,18 @@ class _Grid:
         left = np.flatnonzero(~decided)
         if len(left):
             Q, lead_left = self.queries[left], lead[left]
-            exact = _Exact(m, len(left))
             scores = np.full((len(left), len(m.class_ids)), -np.inf)
             at = np.arange(len(left))
             for c in np.unique(lead_left):
                 sel = lead_left == c
-                scores[sel, c] = exact.rows(c, Q[sel])
+                scores[sel, c] = _class_scores(m, c, Q[sel])
             # a rival is scored when its upper bound reaches the
             # leader's exact score; any other scores below it
             reach = rivals[left] + margin >= scores[at, lead_left][:, None]
             for c in range(len(m.class_ids)):
                 sel = reach[:, c]
                 if sel.any():
-                    scores[sel, c] = exact.rows(c, Q[sel])
+                    scores[sel, c] = _class_scores(m, c, Q[sel])
             lead[left] = scores.argmax(axis=1)
         out[finite] = lead
         return out

@@ -52,8 +52,8 @@ its masses over the class axis it would have alone (see _class_groups).
 
 A fitted tree is its node arrays (TreeModel), made straight from the
 grower's nodes or parsed from a payload; prediction routes rows through
-them without recursion, and a forest joins its trees' arrays once to
-route all its trees in one pass.
+them without recursion, and a forest routes each of its trees in turn
+and counts their votes.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class TreeModel:
     class_ids: np.ndarray
     kind: str  # "stump" | "tree" | "multiway" | "random"
 
-    def _route(self, X, roots=(0,)) -> np.ndarray:
-        """The leaf of every (root, row) pair."""
+    def _route(self, X) -> np.ndarray:
+        """The leaf node of every row."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         n, d = X.shape
         top = int(self.feature.max())
@@ -122,7 +122,7 @@ class TreeModel:
         cells = X.ravel()
         base = np.arange(n) * d
         width = self.thresholds.shape[1]
-        at = np.repeat(np.array(roots)[:, None], n, axis=1)
+        at = np.zeros(n, dtype=np.intp)
         for _ in range(self.depth):
             # a leaf's feature, -1, reads a cell it then ignores
             x = cells[base + self.feature[at]]
@@ -132,7 +132,7 @@ class TreeModel:
         return at
 
     def predict_batch(self, X) -> np.ndarray:
-        return self.leaf[self._route(X)[0]]
+        return self.leaf[self._route(X)]
 
     def check(self, n_features: int) -> None:
         """Reject a split on a feature beyond n_features; the rest of a
@@ -167,33 +167,14 @@ class ForestModel:
     trees: tuple[TreeModel, ...]
     class_ids: np.ndarray
 
-    @functools.cached_property
-    def _joined(self) -> tuple[TreeModel, np.ndarray]:
-        """All trees as one TreeModel whose leaves hold indexes into
-        class_ids, and each tree's root in it, to route in one pass."""
-        width = max(t.thresholds.shape[1] for t in self.trees)
-        roots = np.cumsum([0] + [t.feature.size for t in self.trees[:-1]])
-        pads = [((0, 0), (0, width - t.thresholds.shape[1]))
-                for t in self.trees]
-        index = {c: i for i, c in enumerate(self.class_ids.tolist())}
-        leaf = np.concatenate([t.leaf for t in self.trees]).tolist()
-        return TreeModel(
-            np.concatenate([t.feature for t in self.trees]),
-            np.concatenate([np.pad(t.thresholds, p, constant_values=np.inf)
-                            for t, p in zip(self.trees, pads)]),
-            np.concatenate([np.pad(t.children, p, mode="edge") + r
-                            for t, p, r in zip(self.trees, pads, roots)]),
-            # a split node's leaf (0) is never read
-            np.array([index.get(c, 0) for c in leaf], dtype=np.int64),
-            max(t.depth for t in self.trees), self.class_ids, "forest",
-        ), roots
-
     def predict_batch(self, X) -> np.ndarray:
-        joined, roots = self._joined
-        leaf = joined.leaf[joined._route(X, roots)]
-        n, k = leaf.shape[1], len(self.class_ids)
-        votes = np.bincount((np.arange(n) * k + leaf).ravel(),
-                            minlength=n * k).reshape(n, k)
+        """One vote per tree; ties go to the lowest class id."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        rows = np.arange(X.shape[0])
+        votes = np.zeros((X.shape[0], len(self.class_ids)), dtype=np.intp)
+        for t in self.trees:
+            votes[rows, np.searchsorted(self.class_ids,
+                                        t.leaf[t._route(X)])] += 1
         return self.class_ids[votes.argmax(axis=1)]
 
     def check(self, n_features: int) -> None:

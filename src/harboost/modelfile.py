@@ -197,6 +197,9 @@ def load_model(path) -> LoadedModel:
                 f"{where}: model class_ids {ids.tolist()} are not among "
                 f"the file's class_ids"
             )
+        if (np.diff(ids) <= 0).any():  # k-NN and forest votes: searchsorted
+            raise ModelFormatError(f"{where}: model class_ids {ids.tolist()} "
+                                   f"are not strictly increasing")
         try:  # a model that would load, then fail or mislabel in predict
             model.check(n_features)
         except ValueError as e:

@@ -52,8 +52,10 @@ def test_counting_worker_reads_the_bounded_path(bench, monkeypatch, tmp_path):
     # the worker patches these in place; monkeypatch restores them
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(boosting, "_scorer", boosting._scorer)
-    for name in ("__init__", "score"):
-        monkeypatch.setattr(bayes._Exact, name, getattr(bayes._Exact, name))
+    monkeypatch.setattr(bayes, "_class_scores", bayes._class_scores)
+    monkeypatch.setattr(bayes._Grid, "argmax", bayes._Grid.argmax)
+    monkeypatch.setattr(bayes.KernelNbModel, "log_scores",
+                        bayes.KernelNbModel.log_scores)
     monkeypatch.setattr(bench, "CV_FOLDS", 2)
     (tmp_path / "cv").mkdir()
     dataset.save_csv(make_activity_dataset(400, 4, 3, seed=3, spread=0.4),
@@ -65,3 +67,10 @@ def test_counting_worker_reads_the_bounded_path(bench, monkeypatch, tmp_path):
     assert work["queries"] % 200 == 0
     assert 0 < work["decided_by_bounds"] <= 1
     assert 0 < work["exact_cells_left"] < 1
+    # with no grid every query and every cell is scored exactly, and a
+    # query counts once, not once per class
+    monkeypatch.setattr(bayes._Grid, "of", lambda samples, X: None)
+    work = bench.worker("cv", str(bench.ROOT / "src"), str(tmp_path),
+                        count=True)
+    assert work["decided_by_bounds"] == 0
+    assert work["exact_cells_left"] == 1

@@ -545,6 +545,23 @@ def test_predict_malformed_model_exit_3(capsys, tiny_csv, tmp_path, edit,
     assert message in stderr
 
 
+@pytest.mark.parametrize("learner", ["knn", "random-forest"])
+def test_predict_unsorted_model_class_ids_exit_3(capsys, tiny_csv, tmp_path,
+                                                 learner):
+    # both place votes by searchsorted over the model's class_ids
+    model = tmp_path / "m.json"
+    run(capsys, ["train", "--from-csv", tiny_csv, "--learner", learner,
+                 "--rounds", "1", "--model-out", str(model)])
+    doc = json.loads(model.read_text())
+    doc["rounds"][0]["model"]["class_ids"].reverse()
+    model.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, ["predict", "--model", str(model),
+                                        "--from-csv", tiny_csv])
+    assert (code, stdout) == (3, "")
+    assert "round 1: model class_ids" in stderr
+    assert "not strictly increasing" in stderr
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda doc: doc["base_spec"].update(k=0), "base_spec: k must be >= 1"),
     (lambda doc: doc["base_spec"].update(ridge=math.nan),

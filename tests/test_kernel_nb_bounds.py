@@ -13,7 +13,7 @@ import pytest
 import oracles
 from harboost.boosting import boost_fit, boost_predict_batch
 from harboost.dataset import Dataset, dataset_digest
-from harboost.learners import Family, LearnerSpec, bayes
+from harboost.learners import Family, LearnerSpec, bayes, predict
 from harboost.modelfile import load_model, save_model
 from harboost.numerics import LIKELIHOOD_FLOOR
 
@@ -35,25 +35,30 @@ def _check(m, X):
 @pytest.fixture
 def spy(monkeypatch):
     """Counts of the bounded path: calls, queries and the query rows
-    that went to the exact path."""
-    seen = {"calls": 0, "queries": 0, "exact_rows": 0, "inside": False}
-    argmax, init = bayes._Grid.argmax, bayes._Exact.__init__
+    that went to the exact path, each once per call, at the first class
+    that scores it exactly."""
+    seen = {"calls": 0, "queries": 0, "exact_rows": 0, "rows": None}
+    argmax, exact = bayes._Grid.argmax, bayes._class_scores
 
     def counted_argmax(grid, m):
         seen["calls"] += 1
         seen["queries"] += len(grid.X)
-        seen["inside"] = True
+        seen["rows"] = set()
         try:
             return argmax(grid, m)
         finally:
-            seen["inside"] = False
+            seen["rows"] = None
 
-    def counted_init(exact, m, rows):
-        seen["exact_rows"] += rows if seen["inside"] else 0
-        init(exact, m, rows)
+    def counted_exact(m, c, X):
+        rows = seen["rows"]
+        if rows is not None:
+            keys = [r.tobytes() for r in X]
+            seen["exact_rows"] += sum(k not in rows for k in keys)
+            rows.update(keys)
+        return exact(m, c, X)
 
     monkeypatch.setattr(bayes._Grid, "argmax", counted_argmax)
-    monkeypatch.setattr(bayes._Exact, "__init__", counted_init)
+    monkeypatch.setattr(bayes, "_class_scores", counted_exact)
     return seen
 
 
@@ -125,6 +130,19 @@ def test_tie_grid_and_constant_features(spy):
     X = np.column_stack([g.normal(0, 1, 300), np.full(300, -0.5)])
     assert bayes._Grid.of(m.samples, X) is None
     _check(m, X)
+
+
+def test_zero_and_one_row_predicts(spy):
+    ds, m, g = _task(8, n=300, d=4, classes=4)
+    # no finite row: the exact path
+    assert len(_check(m, np.empty((0, 4)))) == 0
+    assert spy["calls"] == 0
+    # one row takes the grid, however few its kernel cells, and so
+    # does learners.predict of one vector
+    for x in (ds.features[5], g.normal(0, 2, 4)):
+        want = _check(m, x[None, :])
+        assert predict(m, x) == want[0]
+    assert spy["calls"] == spy["queries"] == 6
 
 
 def test_queries_outside_the_samples_and_on_cell_edges():

@@ -30,6 +30,7 @@ machine; the file keeps every earlier record.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import subprocess
@@ -39,6 +40,7 @@ import time
 from pathlib import Path
 
 from pairs import ROOT, alternating, compare, environment, keep
+from pairs import run_worker as _run_worker
 
 PERFBENCH = ROOT / "perfbench"
 CV_ROWS, CV_SEED, CV_FOLDS, CV_ROUNDS, CV_REPEATS = 600, 7, 4, 3, 3
@@ -48,21 +50,30 @@ KINDS = ("cv", "population")
 
 def _count_work(bayes) -> dict:
     """Count, from here on, the query rows and kernel cells that the
-    exact path scores: every query of a call sent wholly to log_scores
-    and every query the bounds left undecided builds one _Exact row, and
-    each _Exact.score call scores rows x n_c x d cells."""
+    exact path scores. Each _class_scores call scores rows x n_c x d
+    cells. A query row counts once in each log_scores or _Grid.argmax
+    call, at the first class that scores it exactly: every query of a
+    call sent wholly to log_scores, and every query the bounds left
+    undecided, at its leader."""
     work = {"exact_rows": 0, "exact_cells": 0}
-    init, score = bayes._Exact.__init__, bayes._Exact.score
+    exact, seen = bayes._class_scores, set()
 
-    def counted_init(exact, model, rows):
-        work["exact_rows"] += rows
-        init(exact, model, rows)
+    def counted(m, c, X):
+        rows = [r.tobytes() for r in X]
+        work["exact_rows"] += sum(r not in seen for r in rows)
+        work["exact_cells"] += X.size * len(m.samples[c])
+        seen.update(rows)
+        return exact(m, c, X)
 
-    def counted_score(exact, c, r, out):
-        work["exact_cells"] += r * exact.sizes[c] * exact.d
-        score(exact, c, r, out)
+    def fresh(f):
+        def call(*args):
+            seen.clear()
+            return f(*args)
+        return call
 
-    bayes._Exact.__init__, bayes._Exact.score = counted_init, counted_score
+    bayes._class_scores = counted
+    bayes._Grid.argmax = fresh(bayes._Grid.argmax)
+    bayes.KernelNbModel.log_scores = fresh(bayes.KernelNbModel.log_scores)
     return work
 
 
@@ -121,12 +132,7 @@ def worker(kind: str, src: str, data: str, count: bool = False) -> dict:
     return {"predict_s": statistics.median(times)}
 
 
-def run_worker(kind: str, src: Path, data: Path, count: bool = False) -> dict:
-    out = subprocess.run(
-        [sys.executable, __file__, "--worker", kind, str(src), str(data),
-         *(["--count"] if count else [])],
-        check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+run_worker = functools.partial(_run_worker, __file__)
 
 
 def measure(baseline: Path, pairs: int, data: Path) -> dict:

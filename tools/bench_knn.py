@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
-import os
 import resource
 import statistics
 import subprocess
@@ -45,6 +45,7 @@ import time
 from pathlib import Path
 
 from pairs import ROOT, alternating, compare, environment, keep
+from pairs import run_worker as _run_worker
 
 PERFBENCH = ROOT / "perfbench"
 #: (rows, repetitions per process) of the neighbor-table timings
@@ -107,12 +108,7 @@ def worker(kind: str, src: str, data: str) -> dict:
     }
 
 
-def run_worker(kind: str, src: Path, data: Path, env=None) -> dict:
-    out = subprocess.run(
-        [sys.executable, __file__, "--worker", kind, str(src), str(data)],
-        check=True, capture_output=True, text=True,
-        env={**os.environ, **(env or {})}).stdout
-    return json.loads(out.splitlines()[-1])
+run_worker = functools.partial(_run_worker, __file__)
 
 
 def compare_metrics(runs: dict) -> dict:
@@ -135,7 +131,8 @@ def measure(baseline: Path, pairs: int, data: Path) -> dict:
                 side_runs[side].append(run_worker(kind, trees[side], data))
         for kind, side_runs in fixed.items():
             side_runs["change"].append(run_worker(
-                kind, trees["change"], data, {"GLIBC_TUNABLES": FIXED_MALLOC}))
+                kind, trees["change"], data,
+                env={"GLIBC_TUNABLES": FIXED_MALLOC}))
     return {
         "benchmark": "k-NN neighbor tables and the headline pipeline, this "
                      "checkout against a baseline checkout, alternating "

@@ -1,9 +1,11 @@
-"""The timing harness of tools/bench_ingest.py and tools/bench_knn.py.
+"""The timing harness of the tools/bench_*.py scripts.
 
 Two sides of one measurement run in alternating pairs, the order
 swapping each pair, because a shared machine's speed drifts within
-minutes. A side's runs are summarised by their median and quartiles,
-and a comparison counts the pairs the first side won. A record notes
+minutes; a script that times two source trees runs each measurement in
+a fresh interpreter of its own --worker mode (run_worker). A side's
+runs are summarised by their median and quartiles, and a comparison
+counts the pairs the first side won. A record notes
 the machine it ran on and is kept in a JSON file of every earlier
 record, as its kind under the checkout's short commit id from git,
 with "-dirty" added when src/ differs from that commit; it replaces
@@ -24,6 +26,7 @@ import contextlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
+import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -51,6 +54,19 @@ def compare(runs: dict[str, list[float]]) -> dict:
         (first, a), (_, b) = runs.items()
         out[f"pairs_won_by_{first}"] = sum(x < y for x, y in zip(a, b))
     return out
+
+
+def run_worker(script: str, kind: str, src: Path, data: Path,
+               count: bool = False, env=None) -> dict:
+    """The JSON last line that `script --worker kind src data`, with
+    --count if count, prints in a fresh interpreter whose environment
+    is this one's with env added."""
+    out = subprocess.run(
+        [sys.executable, script, "--worker", kind, str(src), str(data),
+         *(["--count"] if count else [])],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, **(env or {})}).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def environment() -> dict:
