@@ -6,7 +6,7 @@ model class: a new family means one table row and one module.
 fit(spec, ds, w) trains a model; every model exposes predict_batch
 (activity ids for a query matrix), to_payload (JSON-serializable dict:
 its fields, by numerics.FieldPayload, or a tree's or forest's nodes;
-model_from_payload reverses it) and check(n_features), which raises
+its FAMILIES row's loader reverses it) and check(n_features), which raises
 ValueError if a rebuilt model's arrays do not fit its class ids and
 n_features features, as those read from a model file may not. Fitting
 is deterministic given (spec, dataset, weights): randomized families
@@ -30,7 +30,7 @@ import numpy as np
 
 from ..dataset import ActivityLabel, Dataset
 from ..numerics import check_weights
-from . import bayes, constant, discriminant, knn, regression, trees
+from . import bayes, discriminant, knn, regression, trees
 from .constant import ConstantLearner
 
 
@@ -203,9 +203,6 @@ FAMILIES = {
                                                       joint=True))),
 }
 
-_LOADERS = {row.payload: row.loader for row in FAMILIES.values()}
-_LOADERS["constant"] = constant.ConstantModel.from_payload
-
 
 #: The LearnerSpec fields after family, in declaration order.
 HYPERPARAMETERS = fields(LearnerSpec)[1:]
@@ -275,15 +272,6 @@ def predict(model, x) -> ActivityLabel:
     return ActivityLabel(int(model.predict_batch(x[None, :])[0]))
 
 
-def model_from_payload(p: dict):
-    """Rebuild any serialized model from its to_payload() dict."""
-    try:
-        loader = _LOADERS[p["family"]]
-    except KeyError:
-        raise ValueError(f"unknown model family in payload: {p.get('family')!r}")
-    return loader(p)
-
-
 __all__ = [
     "ConstantLearner",
     "FAMILIES",
@@ -293,7 +281,6 @@ __all__ = [
     "fit",
     "fit_group",
     "fold_scope",
-    "model_from_payload",
     "predict",
     "spec_from_payload",
     "value_type",

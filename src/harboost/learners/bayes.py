@@ -78,8 +78,8 @@ class KernelNbModel(FieldPayload):
         .argmax(axis=1)], ties to the lowest index. The grid of X (_Grid)
         depends on the samples alone, so every kernel-NB model over these
         same sample arrays is bounded on one grid; any other model
-        predicts on its own, and a call whose values fit no grid scores
-        exactly."""
+        predicts on its own, and a call that fits no grid (no query row,
+        or a non-finite or zero range) scores exactly."""
         X = np.asarray(X, dtype=np.float64)
         grid = _Grid.of(self.samples, X)
 
@@ -109,6 +109,9 @@ class KernelNbModel(FieldPayload):
         for c, (x, w) in enumerate(zip(self.samples, self.sample_weights)):
             n_c = check_rows(f"samples[{c}]", x, n_features)
             check_array(f"sample_weights[{c}]", w, (n_c,))
+            if (w < 0).any():  # _Grid's density bounds need w >= 0
+                raise ValueError(f"sample_weights[{c}] holds {w[w < 0][0]}, "
+                                 f"expected values >= 0")
 
 
 def _same_arrays(a: tuple, b: tuple) -> bool:
@@ -173,8 +176,8 @@ class _Grid:
     """A grid over X and a tuple of sample arrays, and the argmax of a
     model over those samples decided from density bounds on it.
 
-    Each feature's range over the finite query rows and the samples is
-    cut into G cells of one width. A value's cell is
+    Each feature's range over the query rows and the samples is cut into
+    G cells of one width. A value's cell is
     floor((x - lo) / width), clipped to the last cell. Every class's
     weights binned on the samples' cells bound its density at a query:
     the kernel of a sample in cell j at a query in cell g lies between
@@ -182,43 +185,39 @@ class _Grid:
     cells, so one Toeplitz product of each class's bins with the kernel
     at each cell offset gives an upper and a lower density bound for
     every cell, and the same floor and log give bounds on every log
-    likelihood and every score.
+    likelihood and every score. The kernel is positive, so the bounds
+    hold for the non-negative weights that fits and model files give.
     """
 
     @classmethod
     def of(cls, samples: tuple, X: np.ndarray):
         """The grid, or None when X scores exactly: a shape the exact
-        path must judge, no finite query row (no row at all included),
-        or a feature of zero or non-finite range."""
+        path must judge, no query row, or a feature of zero or
+        non-finite range (a NaN or an infinite value gives the latter)."""
         d = samples[0].shape[1]
-        if X.ndim != 2 or X.shape[1] != d:
-            return None
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.any():
+        if X.ndim != 2 or X.shape[1] != d or not len(X):
             return None
         G = _grid_cells(X.shape[0], sum(s.shape[0] for s in samples),
                         len(samples))
         stacked = np.concatenate(samples)
-        lo = np.minimum(stacked.min(axis=0), X[finite].min(axis=0))
-        width = (np.maximum(stacked.max(axis=0), X[finite].max(axis=0))
-                 - lo) / G
+        lo = np.minimum(stacked.min(axis=0), X.min(axis=0))
+        width = (np.maximum(stacked.max(axis=0), X.max(axis=0)) - lo) / G
         if not (np.isfinite(width)
                 & (width >= np.finfo(np.float64).tiny)).all():
             return None
-        return cls(samples, stacked, X, finite, G, lo, width)
+        return cls(samples, stacked, X, G, lo, width)
 
-    def __init__(self, samples, stacked, X, finite, G, lo, width):
+    def __init__(self, samples, stacked, X, G, lo, width):
         d = X.shape[1]
-        self.X, self.finite, self.G, self.d = X, finite, G, d
-        self.queries = X[finite]
+        self.X, self.G, self.d = X, G, d
         self.sizes = [s.shape[0] for s in samples]
 
         def cells(V):
             return np.minimum(np.floor((V - lo) / width), G - 1).astype(
                 np.intp) + np.arange(d) * G
 
-        # each finite query's cell per feature, as an index into (d * G)
-        self.query_cells = cells(self.queries)
+        # each query's cell per feature, as an index into (d * G)
+        self.query_cells = cells(X)
         # each sample's bin per feature, as an index into (C * d * G)
         owner = np.repeat(np.arange(len(samples)), self.sizes)
         self.sample_bins = (cells(stacked)
@@ -231,7 +230,7 @@ class _Grid:
         ])[:, None, :] * width[:, None]
 
     def bounds(self, m: KernelNbModel) -> np.ndarray:
-        """(2, finite queries, C): upper and lower bounds on m's scores."""
+        """(2, queries, C): upper and lower bounds on m's scores."""
         C, d, G = len(m.class_ids), self.d, self.G
         w = np.concatenate(m.sample_weights)
         bins = np.bincount(self.sample_bins, weights=np.repeat(w, d),
@@ -288,13 +287,6 @@ class _Grid:
 
     def argmax(self, m: KernelNbModel) -> np.ndarray:
         """log_scores(X).argmax(axis=1) of a model over these samples."""
-        X, finite = self.X, self.finite
-        out = np.empty(X.shape[0], dtype=np.intp)
-        if (~finite).any():
-            out[~finite] = m.log_scores(X[~finite]).argmax(axis=1)
-        if any((w < 0).any() for w in m.sample_weights):
-            out[finite] = m.log_scores(X[finite]).argmax(axis=1)
-            return out
         upper, lower = self.bounds(m)
         margin = self.margin(m)
         rows = np.arange(len(upper))
@@ -305,7 +297,7 @@ class _Grid:
         decided = lower[rows, lead] > rivals.max(axis=1) + margin
         left = np.flatnonzero(~decided)
         if len(left):
-            Q, lead_left = self.queries[left], lead[left]
+            Q, lead_left = self.X[left], lead[left]
             scores = np.full((len(left), len(m.class_ids)), -np.inf)
             at = np.arange(len(left))
             for c in np.unique(lead_left):
@@ -319,8 +311,7 @@ class _Grid:
                 if sel.any():
                     scores[sel, c] = _class_scores(m, c, Q[sel])
             lead[left] = scores.argmax(axis=1)
-        out[finite] = lead
-        return out
+        return lead
 
 
 def fit_kernel_nb(ds, w) -> KernelNbModel:

@@ -26,10 +26,6 @@ class ConstantModel(FieldPayload):
         X = np.asarray(X)
         return np.full(X.shape[0], self.label, dtype=np.int64)
 
-    def check(self, n_features: int) -> None:
-        if self.label not in self.class_ids:
-            raise ValueError(f"label {self.label} is not among class_ids")
-
 
 @dataclass(frozen=True)
 class ConstantLearner:

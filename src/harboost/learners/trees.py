@@ -196,6 +196,8 @@ def model_from_payload(p: dict):
     read-only arrays, rejecting structures that cannot route every row."""
     class_ids = _frozen(np.array(p["class_ids"], dtype=np.int64))
     if p["family"] == "forest":
+        if any(t["family"] != "random" for t in p["trees"]):
+            raise ValueError("a forest tree is not a 'random' tree")
         forest = ForestModel(
             tuple(model_from_payload(t) for t in p["trees"]), class_ids
         )

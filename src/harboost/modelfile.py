@@ -22,7 +22,6 @@ from .learners import (
     FAMILIES,
     HYPERPARAMETERS,
     LearnerSpec,
-    model_from_payload,
     spec_from_payload,
     value_type,
 )
@@ -87,7 +86,8 @@ def save_model(path, ensemble: BoostedEnsemble, feature_names,
 
 #: A kind is a _TYPES key ("?": or null), an object's {key: kind} or an
 #: array's (noun, kind), noun naming each element ("{}": its index from 1).
-#: A round's model is walked to its family; its loader and check do the rest.
+#: A round's model is walked to its family, which must be base_spec's
+#: payload name; that FAMILIES row's loader and the model's check do the rest.
 _DOC = {
     "base_spec": {"family": "string", **{  # a None default may be null
         f.name: ("number" if value_type(f) is float else "integer")
@@ -166,7 +166,7 @@ def load_model(path) -> LoadedModel:
         raise ModelFormatError(f"{path}: base_spec: {e}") from None
     if not doc["rounds"]:
         raise ModelFormatError(f"{path}: rounds is empty")
-    expected = FAMILIES[spec.family].payload  # every round's family
+    row = FAMILIES[spec.family]  # every round's family and loader
     shared = None
     if doc.get("shared_knn_rows") is not None:
         try:
@@ -179,13 +179,18 @@ def load_model(path) -> LoadedModel:
     for i, r in enumerate(doc["rounds"], start=1):
         where = f"{path}: round {i}"
         payload = r["model"]
+        if payload["family"] != row.payload:
+            raise ModelFormatError(
+                f"{where}: a {payload['family']!r} model, but base_spec "
+                f"{spec.family.value!r} fits {row.payload!r} models"
+            )
         if isinstance(payload.get("rows"), str):
             if payload["rows"] != "shared" or shared is None:
                 raise ModelFormatError(f"{path}: dangling shared-rows reference")
             payload = {**payload, "rows": shared}
         try:
             alpha, epsilon = float(r["alpha"]), float(r["epsilon"])
-            model = model_from_payload(payload)
+            model = row.loader(payload)
         except (ValueError, TypeError, KeyError, OverflowError) as e:
             # OverflowError: float() of 10**400, int() of a JSON Infinity
             raise ModelFormatError(f"{where}: {type(e).__name__}: {e}") from None
@@ -204,11 +209,6 @@ def load_model(path) -> LoadedModel:
             model.check(n_features)
         except ValueError as e:
             raise ModelFormatError(f"{where}: {e}") from None
-        if payload["family"] != expected:
-            raise ModelFormatError(
-                f"{where}: a {payload['family']!r} model, but base_spec "
-                f"{spec.family.value!r} fits {expected!r} models"
-            )
         rounds.append(BoostRound(model, alpha, epsilon))
     if class_ids[0] < 1 or class_ids[-1] > 12:  # last: keeps older messages
         raise ModelFormatError(f"{path}: class_ids {class_ids.tolist()} "

@@ -35,8 +35,10 @@ def fuzz(examples):
 _DROP = object()
 # json.dumps cannot write an int beyond 4300 digits, so it goes in as text
 _HUGE = "<5000-digit integer>"
+# a payload of another family, to stand in for a model or a part of one
+_FOREST = {"family": "forest", "class_ids": [1, 2, 3, 4], "trees": []}
 JSON_VALUES = [_DROP, None, "x", True, -1, 0, 1.5, math.nan, math.inf,
-               -math.inf, [], {}, 10 ** 30, _HUGE]
+               -math.inf, [], {}, 10 ** 30, _HUGE, _FOREST]
 # "\udce9" is written with surrogateescape: the lone byte 0xE9, not UTF-8
 TEXT_VALUES = [_DROP, "", "null", "x", "true", "-1", "0", "1.5", "nan",
                "inf", "-inf", "[]", "{}", "1" + "0" * 30, "7" * 5000,

@@ -290,13 +290,22 @@ def test_empty_rounds_rejected(tmp_path):
     (Family.LINEAR_REGRESSION_OVR, "vector-linear-regression",
      "round 1: a 'linear-regression' model, but base_spec "
      "'vector-linear-regression'"),
-], ids=["knn-as-lda", "tree-as-stump", "linreg-as-vector"])
+    (Family.NAIVE_BAYES, None,
+     "round 1: a 'constant' model, but base_spec 'naive-bayes' fits "
+     "'naive-bayes' models"),
+], ids=["knn-as-lda", "tree-as-stump", "linreg-as-vector",
+        "constant-as-naive-bayes"])
 def test_round_family_must_match_base_spec(tmp_path, family, base_family,
                                            message):
-    # each of these loaded, and predict exited 0
+    # each of these loaded, and predict exited 0; a constant round once
+    # loaded when its label was a class
     path = _family_file(tmp_path, family)
     doc = json.loads(path.read_text())
-    doc["base_spec"]["family"] = base_family
+    if base_family is None:
+        doc["rounds"][0]["model"] = {"family": "constant", "label": 5,
+                                     "class_ids": [1, 2, 3, 4]}
+    else:
+        doc["base_spec"]["family"] = base_family
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match=message):
         load_model(path)
@@ -351,6 +360,9 @@ def _drop_last(rows):
          "3 samples for 4 class_ids"),
         (Family.KERNEL_NAIVE_BAYES, lambda m: m["sample_weights"].pop(),
          "3 sample_weights for 4 class_ids"),
+        (Family.KERNEL_NAIVE_BAYES,
+         lambda m: m["sample_weights"][2].__setitem__(0, -0.5),
+         r"sample_weights\[2\] holds -0.5, expected values >= 0"),
         (Family.LINEAR_REGRESSION_OVR,
          lambda m: m.update(coef=_drop_last(m["coef"])),
          r"coef has shape \(4, 3\), expected \(4, 4\)"),
@@ -393,6 +405,7 @@ def _drop_last(rows):
          "knb-negative-bandwidth", "knb-inf-bandwidth",
          "knb-sample-weights-short", "knb-samples-column",
          "knb-samples-empty", "knb-samples-class", "knb-weights-class",
+         "knb-negative-sample-weight",
          "linreg-class-column", "linreg-feature-row", "vlinreg-str",
          "lda-coef-row", "lda-intercept", "qda-factor", "qda-nan-log-det",
          "qda-zero-pivot",
@@ -413,16 +426,6 @@ def test_malformed_array_payload_rejected(tmp_path, family, edit, message):
         edit(model)
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match=f"round 1: {message}"):
-        load_model(path)
-
-
-def test_constant_label_must_be_a_class(tmp_path):
-    path = _naive_bayes_file(tmp_path)
-    doc = json.loads(path.read_text())
-    doc["rounds"][0]["model"] = {"family": "constant", "label": 5,
-                                 "class_ids": [1, 2, 3, 4]}
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match="label 5 is not among"):
         load_model(path)
 
 
@@ -512,6 +515,22 @@ def test_forest_tree_classes_must_be_forest_classes(tmp_path):
     tree["root"] = {"leaf": 5}
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="outside the forest's"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("tree", [
+    {"family": "forest", "class_ids": [1, 2], "trees": []},
+    {"family": "multiway", "class_ids": [1, 2], "root": {"leaf": 1}},
+], ids=["nested-forest", "multiway"])
+def test_forest_trees_must_be_random_trees(tmp_path, tree):
+    # a nested forest exited 4 on its missing split features; a multiway
+    # tree loaded
+    path = _stub_tree_file(tmp_path, {"leaf": 1}, Family.RANDOM_FOREST)
+    doc = json.loads(path.read_text())
+    doc["rounds"][0]["model"]["trees"][0] = tree
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError,
+                       match="round 1: .*a forest tree is not a 'random'"):
         load_model(path)
 
 
