@@ -28,7 +28,6 @@ from .dataset import (
     summarize_by_activity,
 )
 from .evaluation import compare, cross_validate
-from .floattext import row_texts
 from .learners import (
     FAMILIES,
     HYPERPARAMETERS,
@@ -271,11 +270,7 @@ def cmd_train(args) -> int:
     spec = _spec_from_args(args)
     _validate_run(args, [spec], ds, needs_folds=False)
     ensemble = boost_fit(spec, ds, rounds=args.rounds, seed=args.seed)
-    row_texts(ds.features)  # kept for the digest and a k-NN model's rows
-    save_model(
-        args.model_out, ensemble, ds.feature_names,
-        dataset_digest(ds), ds.n_rows,
-    )
+    save_model(args.model_out, ensemble, ds)
     print(
         f"wrote {args.model_out}: {FAMILIES[spec.family].display_name}, "
         f"{len(ensemble.rounds)} of {args.rounds} rounds kept, "

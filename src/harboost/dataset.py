@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .floattext import kept_rows, repr_rows, row_texts
+from .floattext import Rows, repr_rows, row_texts
 from .rng import SplitMix64
 
 
@@ -184,6 +184,12 @@ class Dataset:
             blocks.append((label, rows, _readonly(self.features[rows])))
         return tuple(blocks)
 
+    @functools.cached_property
+    def row_text(self) -> Rows:
+        """The features' rows as text, formatted once: its CSV, its
+        digest and a k-NN model's stored rows write this text."""
+        return row_texts(self.features)
+
     def class_counts(self) -> dict[ActivityLabel, int]:
         ids, counts = np.unique(self.labels, return_counts=True)
         return {ActivityLabel(int(i)): int(c) for i, c in zip(ids, counts)}
@@ -198,14 +204,15 @@ class Dataset:
 
 
 def dataset_digest(ds: Dataset) -> str:
-    """SHA-256 over a canonical text encoding of the dataset content."""
+    """SHA-256 over a canonical text encoding of the dataset content:
+    each row's repr text, the shortest decimals that round-trip to its
+    values, and label. It hashes ds.row_text if ds has formatted its
+    rows, and otherwise streams them, keeping no text."""
     h = hashlib.sha256()
     h.update(b"harboost-dataset-v1\n")
     h.update(f"{ds.n_rows} {ds.n_features}\n".encode())
     h.update((",".join(ds.feature_names) + "\n").encode())
-    # repr of a float is the shortest decimal that round-trips to it; the
-    # rows' text is streamed unless a writer of this dataset has kept it
-    rows = kept_rows(ds.features) or repr_rows(ds.features)
+    rows = vars(ds).get("row_text") or repr_rows(ds.features)
     for text, lab in zip(rows, ds.labels.tolist()):
         h.update(f"{text} {lab}\n".encode())
     return h.hexdigest()
@@ -461,8 +468,7 @@ def save_csv(ds: Dataset, path) -> None:
         fh.write(",".join([*ds.feature_names, "activity_id", "activity_name"]))
         fh.write("\n")
         fh.writelines(f"{text.replace(' ', ',')},{lab},{ACTIVITY_NAMES[lab]}\n"
-                      for text, lab in zip(row_texts(ds.features),
-                                           ds.labels.tolist()))
+                      for text, lab in zip(ds.row_text, ds.labels.tolist()))
 
 
 def _read_csv(path, require_labels: bool):

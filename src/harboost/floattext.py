@@ -16,6 +16,9 @@ table row per sign, decimal point place and digit count. A row holding
 any other cell (one of 16 or 17 digits, one out of that range, or a
 non-finite one) is written by repr itself.
 
+row_texts gives a non-empty finite matrix's rows as Rows, which jsontext
+writes as its nested lists; a Dataset keeps its own (Dataset.row_text).
+
 The tables and the exponent step are shared with synthetic's "% .7e"
 writer of X_train.txt, which scales to 8 digits the same way, and the
 powers of ten with e7text's reader of it.
@@ -24,7 +27,6 @@ powers of ten with e7text's reader of it.
 from __future__ import annotations
 
 import functools
-import weakref
 
 import numpy as np
 
@@ -33,10 +35,6 @@ POW10 = np.array([float(10 ** p) for p in range(23)])
 #: Cells formatted per block of repr_rows: its working arrays take about
 #: 250 bytes a cell, and a block of them stays within half a megabyte.
 _BLOCK_CELLS = 1 << 11
-#: (weak reference to the read-only table row_texts last formatted, its
-#: rows), or _NO_ROWS
-_NO_ROWS = (lambda: None, [])
-_last_rows = _NO_ROWS
 
 
 def words(texts, dtype) -> np.ndarray:
@@ -122,31 +120,19 @@ def repr_rows(table: np.ndarray):
         yield from _repr_block(table[start:start + block])
 
 
-def row_texts(table: np.ndarray) -> list[str]:
-    """list(repr_rows(table)). No repr text holds a space, so the
-    rows with another separator are text.replace(" ", sep). The list of
-    the last read-only table is kept while that table lives, so that the
-    writers of one dataset's text (its CSV, its digest, a model's stored
-    rows) format it once."""
-    global _last_rows
-    texts = kept_rows(table)
-    if texts is None:
-        texts = list(repr_rows(table))
-        if not table.flags.writeable:
-            _last_rows = weakref.ref(table, _forget_rows), texts
-    return texts
+class Rows(list):
+    """The text of a finite matrix's rows, one str a row, as repr_rows
+    writes them; jsontext writes it as the matrix's nested lists."""
 
 
-def kept_rows(table: np.ndarray) -> list[str] | None:
-    """The list row_texts keeps for table, or None."""
-    ref, texts = _last_rows
-    return texts if ref() is table and not table.flags.writeable else None
-
-
-def _forget_rows(ref) -> None:
-    global _last_rows
-    if _last_rows[0] is ref:
-        _last_rows = _NO_ROWS
+def row_texts(table: np.ndarray) -> Rows:
+    """Rows(repr_rows(table)), or ValueError for an empty or non-finite
+    table. No repr text holds a space, so the rows with another
+    separator are text.replace(" ", sep)."""
+    if not table.size or not np.isfinite(table).all():
+        raise ValueError(f"no row text for an empty or non-finite "
+                         f"matrix of shape {table.shape}")
+    return Rows(repr_rows(table))
 
 
 def _digits(x: np.ndarray):

@@ -5,9 +5,9 @@ byte for byte. With an indent, json.dumps encodes every value in
 Python; here dicts and nested lists are walked in Python, and each
 list of scalars (a model's vote weights, a confusion matrix's counts)
 is one call of the C encoder whose item separator carries the newline
-and indent. A numpy array is written as its nested lists; the rows of a
-finite float64 matrix (k-NN's stored rows) come from
-floattext.row_texts, as the encoder's float.__repr__ would write them.
+and indent. A floattext.Rows (k-NN's stored rows, formatted once by
+floattext.row_texts) is written as the nested lists of its matrix, as
+the encoder's float.__repr__ would write them.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
-import numpy as np
-
-from .floattext import row_texts
+from .floattext import Rows
 
 #: Types whose values the C encoder writes as json.dumps writes them.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -51,6 +49,8 @@ def _write(value, newline: str, out: list[str]) -> None:
             _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
+    elif isinstance(value, Rows):
+        _write_rows(value, newline, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -64,22 +64,16 @@ def _write(value, newline: str, out: list[str]) -> None:
                 _write(item, inner, out)
                 sep = "," + inner
             out.append(newline + "]")
-    elif isinstance(value, np.ndarray):
-        if (value.dtype == np.float64 and value.ndim == 2 and value.size
-                and np.isfinite(value).all()):
-            _write_table(value, newline, out)
-        else:
-            _write(value.tolist(), newline, out)
     else:
         out.append(_scalar(value))
 
 
-def _write_table(table: np.ndarray, newline: str, out: list[str]) -> None:
-    """The rows of a float64 matrix as the list branch writes them."""
+def _write_rows(texts: Rows, newline: str, out: list[str]) -> None:
+    """A matrix's rows as the list branch writes its nested lists."""
     inner = newline + "  "
     cell = inner + "  "
     rows = f"{inner}],{inner}[{cell}".join(
-        [text.replace(" ", "," + cell) for text in row_texts(table)])
+        [text.replace(" ", "," + cell) for text in texts])
     out.append(f"[{inner}[{cell}{rows}{inner}]{newline}]")
 
 

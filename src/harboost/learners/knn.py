@@ -54,21 +54,20 @@ class KnnModel(FieldPayload):
     def round_scorer(self, X):
         """score(m) -> m's predictions for X. Neighbor sets do not depend
         on vote weights, so every k-NN model over these same stored rows
-        and k votes through one neighbor table of X (and its vote cells if
-        its labels are these); any other model predicts on its own."""
+        (the same array), k, labels and class ids votes through one
+        neighbor table of X and its vote cells; any other model predicts
+        on its own."""
         X = _check_queries(X, self.rows.shape[1])
         table = table_for(self.rows, X, self.k)
         cells = vote_cells(table, self.label_indices(), len(self.class_ids))
 
         def score(m) -> np.ndarray:
             if not (isinstance(m, KnnModel) and m.rows is self.rows
-                    and m.k == self.k):
+                    and m.k == self.k
+                    and np.array_equal(m.labels, self.labels)
+                    and np.array_equal(m.class_ids, self.class_ids)):
                 return m.predict_batch(X)
-            same = (np.array_equal(m.labels, self.labels)
-                    and np.array_equal(m.class_ids, self.class_ids))
-            n = len(m.class_ids)
-            own = cells if same else vote_cells(table, m.label_indices(), n)
-            scores = vote_scores(table, own, m.weights, n)
+            scores = vote_scores(table, cells, m.weights, len(m.class_ids))
             return m.class_ids[scores.argmax(axis=1)]
 
         return score

@@ -167,12 +167,10 @@ def write_hapt_layout(
     names = list(BODY_ACC_FEATURES) + [
         f"synthetic-Extra-{j}" for j in range(total_features - len(BODY_ACC_FEATURES))
     ]
-    (root / "features.txt").write_text(
-        "".join(f"{i + 1} {n}\n" for i, n in enumerate(names)), encoding="utf-8"
-    )
-    (root / "activity_labels.txt").write_text(
-        "".join(f"{int(l)} {l.name}\n" for l in ActivityLabel), encoding="utf-8"
-    )
+    (root / "features.txt").write_text("".join(
+        f"{i + 1} {n}\n" for i, n in enumerate(names)), "utf-8", newline="\n")
+    (root / "activity_labels.txt").write_text("".join(
+        f"{int(l)} {l.name}\n" for l in ActivityLabel), "utf-8", newline="\n")
     ds = make_activity_dataset(
         n_rows, 12, len(BODY_ACC_FEATURES), seed=seed, spread=spread,
         class_counts=class_counts,
@@ -185,6 +183,6 @@ def write_hapt_layout(
     with open(root / "Train" / "X_train.txt", "wb") as fh:
         for start in range(0, n_rows, block):
             fh.write(_e7_text(full[start:start + block]))
-    with open(root / "Train" / "y_train.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{l}\n" for l in ds.labels.tolist())
+    (root / "Train" / "y_train.txt").write_text("".join(
+        f"{l}\n" for l in ds.labels.tolist()), "utf-8", newline="\n")
     return root

@@ -22,7 +22,7 @@ from harboost.boosting import (
     samme_alpha,
 )
 from harboost.cli import main as cli_main
-from harboost.dataset import ActivityLabel, Dataset, dataset_digest, save_csv
+from harboost.dataset import ActivityLabel, Dataset, save_csv
 from harboost.evaluation import (
     ConfusionMatrix,
     class_precision,
@@ -353,7 +353,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path, capsys):
     big = make_activity_dataset(500, 12, 15, seed=72, spread=0.3)
     ens = boost_fit(LearnerSpec(Family.KNN, k=5), big, rounds=3, seed=11)
     path = tmp_path / "model.json"
-    save_model(path, ens, big.feature_names, dataset_digest(big), big.n_rows)
+    save_model(path, ens, big)
     loaded = load_model(path)
     queries = np.random.default_rng(73).uniform(-1, 1, (500, 15))
     in_memory = boost_predict_batch(ens, queries)

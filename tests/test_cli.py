@@ -86,8 +86,45 @@ def test_each_command_formats_its_matrix_once(capsys, data_dir, tmp_path,
     assert shapes == [(96, 15)] * 2
     ds = load_csv(csv)
     dataset.dataset_digest(ds)
-    assert floattext.kept_rows(ds.features) is None
+    assert "row_text" not in vars(ds)
     assert shapes == [(96, 15)] * 3
+
+
+def test_written_files_have_lf_line_endings_on_windows(capsys, tmp_path,
+                                                        monkeypatch):
+    # on Windows a text write with newline=None writes each "\n" as
+    # "\r\n"; the layout, the CSV, the model file and the report pass
+    # newline="\n", so their bytes are the same on every platform
+    import builtins
+    import io
+
+    def windows(real):
+        def opened(file, mode="r", buffering=-1, encoding=None,
+                   errors=None, newline=None, *args, **kwargs):
+            if "b" not in mode and newline is None:
+                newline = "\r\n"
+            return real(file, mode, buffering, encoding, errors, newline,
+                        *args, **kwargs)
+        return opened
+
+    monkeypatch.setattr(io, "open", windows(io.open))
+    monkeypatch.setattr(builtins, "open", windows(builtins.open))
+    with open(tmp_path / "probe.txt", "w") as fh:
+        fh.write("a\n")
+    assert (tmp_path / "probe.txt").read_bytes() == b"a\r\n"
+    data = write_hapt_layout(tmp_path / "hapt", n_rows=48, seed=2,
+                             total_features=20)
+    outs = [tmp_path / name for name in ("o.csv", "m.json", "r.json")]
+    for argv in (["ingest", "--data-dir", str(data), "--out", str(outs[0])],
+                 ["train", "--from-csv", str(outs[0]), "--learner", "knn",
+                  "--k", "3", "--rounds", "2", "--model-out", str(outs[1])],
+                 ["evaluate", "--from-csv", str(outs[0]), "--folds", "2",
+                  "--rounds", "2", "--format", "json", "--out",
+                  str(outs[2])]):
+        assert run(capsys, argv)[0] == 0
+    written = [p for p in data.rglob("*") if p.is_file()] + outs
+    assert len(written) == 7
+    assert [p.name for p in written if b"\r" in p.read_bytes()] == []
 
 
 def test_ingest_from_csv_same_digest(capsys, tiny_csv, tmp_path):

@@ -496,8 +496,7 @@ def text_inputs(tmp_path_factory, synthetic_hapt_dir):
     (root / "features.csv").write_text(
         "".join(line.rsplit(",", 2)[0] + "\n" for line in lines))
     ens = boost_fit(LearnerSpec(Family.NAIVE_BAYES), ds, rounds=1, seed=0)
-    save_model(root / "model.json", ens, ds.feature_names,
-               dataset_digest(ds), ds.n_rows)
+    save_model(root / "model.json", ens, ds)
     return root
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from harboost import cli  # noqa: E402
 from harboost.boosting import boost_fit  # noqa: E402
-from harboost.dataset import dataset_digest, save_csv  # noqa: E402
+from harboost.dataset import save_csv  # noqa: E402
 from harboost.learners import Family, LearnerSpec  # noqa: E402
 from harboost.modelfile import save_model  # noqa: E402
 from harboost.synthetic import (  # noqa: E402
@@ -56,8 +56,7 @@ def inputs(tmp_path_factory):
     for family in Family:
         spec = LearnerSpec(family, k=3, max_depth=3, trees=2)
         ens = boost_fit(spec, ds, rounds=2, seed=1)
-        save_model(root / "m.json", ens, ds.feature_names, dataset_digest(ds),
-                   ds.n_rows)
+        save_model(root / "m.json", ens, ds)
         models[family] = (root / "m.json").read_text()
     (root / "knn.json").write_text(models[Family.KNN])
     return root, root / "data.csv", ds.n_rows, models

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from harboost.floattext import row_texts
 from harboost.jsontext import canonical_json
 
 pytest.importorskip("hypothesis")
@@ -71,14 +72,22 @@ def test_canonical_json_refuses_what_json_dumps_refuses(doc):
 
 
 @pytest.mark.parametrize("array", [
-    [[0.5, 1e-05], [1e16, -0.0]], [[0.1]], [[math.nan, 1.0]],
-    [[math.inf, 1.0], [2.0, 3.0]], [], [[], []], [1.0, 2.0], [[1, 2]],
-], ids=repr)
-@pytest.mark.parametrize("writeable", [True, False])
-def test_numpy_array_is_written_as_its_lists(array, writeable):
+    [[0.1]], [[i / 7] for i in range(60)], [[i / 7 for i in range(60)]],
+    [[0.5, 1e-05], [1e16, -0.0]],
+], ids=lambda a: f"{len(a)}x{len(a[0])}")
+def test_row_texts_are_written_as_their_lists(array):
     import numpy as np
 
     a = np.array(array)
-    a.flags.writeable = writeable
-    for _ in range(2):  # the second write of a read-only matrix reuses text
-        assert canonical_json({"rows": a}) == dumps({"rows": a.tolist()})
+    assert canonical_json({"rows": row_texts(a)}) == dumps({"rows": a.tolist()})
+
+
+@pytest.mark.parametrize("array", [
+    [[math.nan, 1.0]], [[math.inf, 1.0], [2.0, 3.0]], [[-math.inf]],
+    [[]], [[], []],
+], ids=repr)
+def test_row_texts_refuse_empty_and_non_finite_matrices(array):
+    import numpy as np
+
+    with pytest.raises(ValueError, match="empty or non-finite"):
+        row_texts(np.array(array, dtype=np.float64))

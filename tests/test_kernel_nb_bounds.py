@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from harboost.boosting import boost_fit, boost_predict_batch
-from harboost.dataset import Dataset, dataset_digest
+from harboost.dataset import Dataset
 from harboost.learners import Family, LearnerSpec, bayes, predict
 from harboost.modelfile import load_model, save_model
 from harboost.numerics import LIKELIHOOD_FLOOR
@@ -228,7 +228,7 @@ def test_rounds_share_a_grid_and_a_reloaded_model_still_agrees(tmp_path,
     assert score(other).tobytes() == _argmax(other, X).tobytes()
 
     path = tmp_path / "knb.json"
-    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    save_model(path, ens, ds)
     loaded = load_model(path).ensemble
     reloaded = [r.model for r in loaded.rounds]
     assert not bayes._same_arrays(reloaded[0].samples, reloaded[1].samples)

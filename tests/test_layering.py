@@ -154,3 +154,18 @@ def test_one_formatter_writes_float_text_as_repr():
                    for node in ast.walk(top)):
                 callers.add(f"{path.name}: {getattr(top, 'name', top.lineno)}")
     assert callers == {"floattext.py: _repr_block"}
+
+
+def test_no_module_keeps_state_in_a_global():
+    # a value outlives a call only in an object its caller holds (a
+    # Dataset's row text, class blocks); the one global statement sets
+    # a process-pool worker's job, once per worker
+    assigned = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Global):
+                    where = f"{path.name}: {getattr(top, 'name', top.lineno)}"
+                    assigned.update(f"{where}: {name}" for name in node.names)
+    assert assigned == {"evaluation.py: _init_worker: _worker_job"}

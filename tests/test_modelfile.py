@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -38,7 +39,7 @@ def test_save_load_predicts_bit_identically(tmp_path, family, kwargs):
     ds = make_activity_dataset(60, 4, 3, seed=31, spread=0.3)
     ens = boost_fit(LearnerSpec(family, **kwargs), ds, rounds=3, seed=9)
     path = tmp_path / "m.json"
-    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    save_model(path, ens, ds)
     loaded = load_model(path)
     queries = np.random.default_rng(32).uniform(-1, 1, (500, 3))
     np.testing.assert_array_equal(
@@ -58,7 +59,7 @@ def test_knn_rows_stored_once(tmp_path):
     ens = boost_fit(LearnerSpec(Family.KNN, k=5), ds, rounds=4, seed=3)
     assert len(ens.rounds) >= 3
     path = tmp_path / "knn.json"
-    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    save_model(path, ens, ds)
     doc = json.loads(path.read_text())
     assert doc["shared_knn_rows"] is not None
     for r in doc["rounds"]:
@@ -70,11 +71,56 @@ def test_knn_rows_stored_once(tmp_path):
     assert not models[0].rows.flags.writeable
 
 
+def test_knn_rows_are_the_fit_rows_whatever_dataset_saves_them(tmp_path):
+    # the stored rows are the ensemble's; the dataset given to save_model
+    # names the features and gives the digest, and its text is not used
+    ds1 = make_activity_dataset(120, 6, 5, seed=33, spread=0.5)
+    ds2 = make_activity_dataset(90, 6, 5, seed=34, spread=0.5)
+    ens = boost_fit(LearnerSpec(Family.KNN, k=5), ds1, rounds=4, seed=3)
+    path = tmp_path / "knn.json"
+    save_model(path, ens, ds2)
+    doc = json.loads(path.read_text())
+    assert doc["shared_knn_rows"] == ds1.features.tolist()
+    assert doc["metadata"] == {"n_rows": 90,
+                               "dataset_digest": dataset_digest(ds2)}
+    assert "row_text" not in vars(ds2)
+
+
+def test_resaved_knn_model_is_byte_identical(tmp_path):
+    ds = make_activity_dataset(120, 6, 5, seed=33, spread=0.5)
+    ens = boost_fit(LearnerSpec(Family.KNN, k=5), ds, rounds=4, seed=3)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_model(a, ens, ds)
+    loaded = load_model(a).ensemble
+    assert loaded.rounds[0].model.rows is not ds.features
+    save_model(b, loaded, ds)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_knn_rows_are_shared_by_identity_alone(tmp_path):
+    # a round holding an equal copy of the shared rows writes its own
+    ds = make_activity_dataset(60, 4, 3, seed=37, spread=0.5)
+    ens = boost_fit(LearnerSpec(Family.KNN, k=3), ds, rounds=2, seed=0)
+    assert len(ens.rounds) == 2
+    last = ens.rounds[1]
+    copy = dataclasses.replace(last.model, rows=last.model.rows.copy())
+    ens = dataclasses.replace(
+        ens, rounds=(ens.rounds[0], dataclasses.replace(last, model=copy)))
+    path = tmp_path / "knn.json"
+    save_model(path, ens, ds)
+    doc = json.loads(path.read_text())
+    assert doc["rounds"][0]["model"]["rows"] == "shared"
+    assert doc["rounds"][1]["model"]["rows"] == doc["shared_knn_rows"]
+    np.testing.assert_array_equal(
+        boost_predict_batch(load_model(path).ensemble, ds.features),
+        boost_predict_batch(ens, ds.features))
+
+
 def test_version_mismatch_is_hard_error(tmp_path):
     ds = make_activity_dataset(30, 3, 2, seed=35)
     ens = boost_fit(LearnerSpec(Family.NAIVE_BAYES), ds, rounds=1, seed=0)
     path = tmp_path / "m.json"
-    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    save_model(path, ens, ds)
     doc = json.loads(path.read_text())
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
@@ -108,7 +154,7 @@ def _naive_bayes_file(tmp_path):
     ds = make_activity_dataset(60, 4, 3, seed=37, spread=0.5)
     ens = boost_fit(LearnerSpec(Family.NAIVE_BAYES), ds, rounds=2, seed=0)
     path = tmp_path / "m.json"
-    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    save_model(path, ens, ds)
     return path
 
 
@@ -316,7 +362,7 @@ def _family_file(tmp_path, family, **kwargs):
     ds = make_activity_dataset(60, 4, 3, seed=37, spread=0.5)
     ens = boost_fit(LearnerSpec(family, **kwargs), ds, rounds=2, seed=0)
     path = tmp_path / "m.json"
-    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    save_model(path, ens, ds)
     return path
 
 
@@ -434,8 +480,7 @@ def test_seeds_beyond_int64_load(tmp_path):
     ds = make_activity_dataset(40, 3, 2, seed=36)
     spec = LearnerSpec(Family.RANDOM_TREE, max_depth=2 ** 70, seed=2 ** 64 + 3)
     path = tmp_path / "m.json"
-    save_model(path, boost_fit(spec, ds, rounds=2, seed=-(2 ** 65)),
-               ds.feature_names, dataset_digest(ds), ds.n_rows)
+    save_model(path, boost_fit(spec, ds, rounds=2, seed=-(2 ** 65)), ds)
     loaded = load_model(path).ensemble
     assert (loaded.base_spec, loaded.seed) == (spec, -(2 ** 65))
 
@@ -444,10 +489,8 @@ def test_save_is_byte_deterministic(tmp_path):
     ds = make_activity_dataset(40, 3, 2, seed=36)
     spec = LearnerSpec(Family.RANDOM_FOREST, trees=3, max_depth=3, seed=1)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_model(a, boost_fit(spec, ds, rounds=2, seed=5), ds.feature_names,
-               dataset_digest(ds), ds.n_rows)
-    save_model(b, boost_fit(spec, ds, rounds=2, seed=5), ds.feature_names,
-               dataset_digest(ds), ds.n_rows)
+    save_model(a, boost_fit(spec, ds, rounds=2, seed=5), ds)
+    save_model(b, boost_fit(spec, ds, rounds=2, seed=5), ds)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -457,7 +500,7 @@ def _stub_tree_file(tmp_path, root, family=Family.DECISION_TREE):
     ens = boost_fit(LearnerSpec(family, max_depth=2, trees=2), ds, rounds=1,
                     seed=0)
     path = tmp_path / "m.json"
-    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    save_model(path, ens, ds)
     doc = json.loads(path.read_text())
     model = doc["rounds"][0]["model"]
     for tree in model.get("trees", [model]):
@@ -566,6 +609,6 @@ def test_class_conditional_model_files_are_pinned(tmp_path, family):
     ens = boost_fit(LearnerSpec(family), ds, rounds=5, seed=7)
     assert len(ens.rounds) == 5
     path = tmp_path / "m.json"
-    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    save_model(path, ens, ds)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_MODEL_FILES[family]

@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from harboost.boosting import boost_fit, boost_predict_batch  # noqa: E402
-from harboost.dataset import Dataset, dataset_digest  # noqa: E402
+from harboost.dataset import Dataset  # noqa: E402
 from harboost.learners import Family, LearnerSpec  # noqa: E402
 from harboost.modelfile import load_model, save_model  # noqa: E402
 from harboost.synthetic import make_activity_dataset  # noqa: E402
@@ -57,7 +57,7 @@ def test_reload_predicts_bit_identically(tmp_path_factory, family, ds, k,
     spec = LearnerSpec(family, k=k, max_depth=depth, trees=3, seed=seed)
     ens = boost_fit(spec, ds, rounds=3, seed=seed)
     path = tmp_path_factory.mktemp("roundtrip") / "m.json"
-    save_model(path, ens, ds.feature_names, dataset_digest(ds), ds.n_rows)
+    save_model(path, ens, ds)
     loaded = load_model(path).ensemble
     assert [(r.alpha, r.epsilon, r.model.to_payload()) for r in loaded.rounds] \
         == [(r.alpha, r.epsilon, r.model.to_payload()) for r in ens.rounds]
